@@ -13,6 +13,7 @@ from .hypseries import (
     LimitConditionError,
     PFQSpec,
     SeriesError,
+    TermOverflowError,
     eval_at_one,
     eval_series,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "SeriesError",
     "DivergentError",
     "ConvergenceError",
+    "TermOverflowError",
     "LimitConditionError",
     "CoeffStream",
     "hypize",

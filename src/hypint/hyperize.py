@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .jets import Jet, as_jet
-from .numkernel import pochhammer
+from .numkernel import _is_nonpositive_integer, pochhammer
 from .oracle import quad_finite
 
 __all__ = [
@@ -35,10 +35,6 @@ Scalar = Union[int, float, complex]
 ParamLike = Union[Scalar, Jet]
 
 STREAM_CAP = 100_000
-
-
-def _is_nonpositive_int(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
 
 
 def _order_of(x: ParamLike) -> int:
@@ -218,7 +214,7 @@ def hypize(f: CoeffStream, a: ParamLike, c: ParamLike) -> CoeffStream:
     if _same_param(a, c):
         return f
     c_base = c.value if isinstance(c, Jet) else complex(c)
-    if _is_nonpositive_int(c_base):
+    if _is_nonpositive_integer(c_base):
         raise ValueError("lower parameter with base %s sits on a pole" % c_base)
     n = max(_order_of(a), _order_of(c))
     if n:

@@ -16,13 +16,21 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .jets import DEFAULT_ORDER, Jet, as_jet, jet_inverse, jet_mul
-from .numkernel import gamma_jet, pochhammer, reciprocal_gamma_jet
+from .numkernel import (
+    _is_nonpositive_integer,
+    gamma_jet,
+    pochhammer,
+    reciprocal_gamma_jet,
+)
 
 __all__ = [
     "SeriesError",
     "DivergentError",
     "ConvergenceError",
+    "TermOverflowError",
     "LimitConditionError",
     "Kind",
     "ConvergenceClass",
@@ -40,6 +48,7 @@ DEFAULT_TOL = 1e-12
 TERM_CAP = 1_000_000
 AT_ONE_CAP = 100_000
 _FIRST_CHECKPOINT = 64
+_BLOCK_CAP = 4096
 
 
 class SeriesError(Exception):
@@ -52,6 +61,14 @@ class DivergentError(SeriesError):
 
 class ConvergenceError(SeriesError):
     """Term cap or acceleration budget exhausted before reaching tol."""
+
+
+class TermOverflowError(SeriesError):
+    """A term or partial sum left the double range; `k` is its index."""
+
+    def __init__(self, k: int, message: str):
+        self.k = k
+        super().__init__(message)
 
 
 class LimitConditionError(SeriesError):
@@ -81,10 +98,6 @@ class AsymptoticTerm:
 
     exponent: Jet
     coefficient: Jet
-
-
-def _is_nonpositive_int(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
 
 
 ParamLike = Union[int, float, complex, Jet]
@@ -117,7 +130,7 @@ class PFQSpec:
                 "series needs p <= q+1, got p=%d q=%d" % (len(ups), len(lows))
             )
         for c in lows:
-            if _is_nonpositive_int(c.value):
+            if _is_nonpositive_integer(c.value):
                 raise ValueError(
                     "lower parameter with base %s sits on a pole" % c.value
                 )
@@ -172,7 +185,7 @@ class PFQSpec:
         degs = [
             -int(a.value.real)
             for a in self.upper
-            if _is_nonpositive_int(a.value) and a.is_scalar
+            if _is_nonpositive_integer(a.value) and a.is_scalar
         ]
         return min(degs) if degs else None
 
@@ -228,24 +241,25 @@ def cancel_parameters(spec: PFQSpec) -> PFQSpec:
 # summation cores
 
 
-def _neumaier(total: float, comp: float, term: float):
-    t = total + term
-    if abs(total) >= abs(term):
-        comp += (total - t) + term
-    else:
-        comp += (term - t) + total
-    return t, comp
-
-
 class _ScalarSum:
+    """Neumaier-compensated complex sum."""
+
     __slots__ = ("re", "cre", "im", "cim")
 
     def __init__(self):
         self.re = self.cre = self.im = self.cim = 0.0
 
     def add(self, z: complex):
-        self.re, self.cre = _neumaier(self.re, self.cre, z.real)
-        self.im, self.cim = _neumaier(self.im, self.cim, z.imag)
+        # the compensation step inlined for both parts: this runs once per
+        # term on every short series
+        x, s = z.real, self.re
+        t = s + x
+        self.cre += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        self.re = t
+        x, s = z.imag, self.im
+        t = s + x
+        self.cim += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        self.im = t
 
     def value(self) -> complex:
         return complex(self.re + self.cre, self.im + self.cim)
@@ -273,63 +287,163 @@ def _scalar_params(spec: PFQSpec):
     return [a.value for a in spec.upper], [c.value for c in spec.lower]
 
 
-def _term_iter_scalar(spec: PFQSpec, z: complex):
-    a, c = _scalar_params(spec)
-    t = 1.0 + 0j
-    k = 0
-    while True:
-        yield t
-        num = z
-        for ai in a:
-            num *= ai + k
-        den = k + 1.0
-        for cj in c:
-            den *= cj + k
-        t = t * num / den
-        k += 1
-
-
 def _term_iter_jet(spec: PFQSpec, z: complex):
     t = as_jet(1, spec.order)
     k = 0
     while True:
-        yield t
-        for ai in spec.upper:
-            t = jet_mul(t, ai + k)
+        yield _finite_jet(t, spec, z, k)
+        # the ratio first: t * (a + k) alone would overflow near the top
+        # of the double range, where the term itself is still finite
         den = as_jet(k + 1.0, spec.order)
         for cj in spec.lower:
             den = jet_mul(den, cj + k)
-        t = jet_mul(t, jet_inverse(den)) * z
+        ratio = jet_inverse(den) * z
+        for ai in spec.upper:
+            ratio = jet_mul(ratio, ai + k)
+        t = jet_mul(t, ratio)
         k += 1
+
+
+def _overflow(spec: PFQSpec, z: complex, k: int) -> TermOverflowError:
+    return TermOverflowError(
+        k,
+        "term or partial sum %d of %s at %r left the double range"
+        % (k, spec.describe(), z),
+    )
+
+
+def _ratio_block(a, c, z, k0: int, n: int):
+    """t_{k+1}/t_k for k = k0 .. k0+n-1, as one numpy array."""
+    k = np.arange(k0, k0 + n, dtype=float)
+    r = z / (k + 1.0)
+    for ai in a:
+        r *= k + ai
+    for cj in c:
+        r /= k + cj
+    return r
+
+
+def _scalar_partials(spec: PFQSpec, z: complex, limit: int, tol=None):
+    """Partial sums of a scalar-parameter series, up to `limit` terms.
+
+    Yields (n, S_n, stopped) with n the number of terms summed.  The
+    first _FIRST_CHECKPOINT terms run through the per-term recurrence,
+    so a short series never touches numpy; past them terms come in
+    blocks t_k0 * cumprod(ratio) whose lengths double from
+    _FIRST_CHECKPOINT up to _BLOCK_CAP, so every power-of-two count from
+    64 on ends a block.  Each block is added exactly with math.fsum.
+
+    With `tol`, the sum stops after two consecutive terms (past the
+    first) each at most tol * max(1, |partial sum|), and yields
+    stopped=True.  A non-finite term or partial sum raises
+    TermOverflowError at once.
+    """
+    a, c = _scalar_params(spec)
+    acc = _ScalarSum()
+    acc.re = 1.0  # the first term
+    small = False
+    t = 1.0 + 0j
+    head = min(_FIRST_CHECKPOINT, limit)
+    isfinite = cmath.isfinite
+    for k in range(1, head):
+        j = k - 1
+        num = z
+        for ai in a:
+            num *= ai + j
+        den = float(k)
+        for cj in c:
+            den *= cj + j
+        t = t * num / den
+        if not isfinite(t):
+            raise _overflow(spec, z, k)
+        acc.add(t)
+        if tol is not None:
+            if abs(t) <= tol * max(1.0, abs(acc.value())):
+                if small:
+                    yield k + 1, _finite(acc.value(), spec, z, k), True
+                    return
+                small = True
+            else:
+                small = False
+    n = head
+    yield n, _finite(acc.value(), spec, z, n - 1), False
+    # real inputs keep the tail in float64, at half the cost of complex
+    real = z.imag == 0.0 and all(p.imag == 0.0 for p in (*a, *c))
+    cast = (lambda v: v.real) if real else complex
+    bz, a, c, t = cast(z), [cast(p) for p in a], [cast(p) for p in c], cast(t)
+    size = _FIRST_CHECKPOINT
+    while n < limit:
+        m = min(size, limit - n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blk = t * np.cumprod(_ratio_block(a, c, bz, n - 1, m))
+            # the running product keeps a non-finite term non-finite, so
+            # the last term shows whether any term overflowed
+            bad = None
+            if not cmath.isfinite(blk[-1]):
+                bad = int(np.argmin(np.isfinite(blk)))
+                blk = blk[:bad]
+            stop = None
+            if tol is not None and blk.size:
+                part = cast(acc.value()) + np.cumsum(blk)
+                tiny = np.abs(blk) <= tol * np.maximum(1.0, np.abs(part))
+                if tiny.any():
+                    both = tiny[1:] & tiny[:-1]
+                    if small and tiny[0]:
+                        stop = 0
+                    elif both.any():
+                        stop = int(np.argmax(both)) + 1
+                small = bool(tiny[-1])
+        if stop is not None:
+            blk = blk[: stop + 1]
+        elif bad is not None:
+            raise _overflow(spec, z, n + bad)
+        try:
+            if real:
+                acc.add(complex(math.fsum(blk.tolist())))
+            else:
+                acc.add(
+                    complex(math.fsum(blk.real.tolist()), math.fsum(blk.imag.tolist()))
+                )
+        except OverflowError:
+            raise _overflow(spec, z, n + blk.size - 1) from None
+        n += blk.size
+        yield n, _finite(acc.value(), spec, z, n - 1), stop is not None
+        if stop is not None:
+            return
+        t = blk[-1]
+        size = min(2 * size, _BLOCK_CAP)
+
+
+def _finite(s: complex, spec: PFQSpec, z: complex, k: int) -> complex:
+    if not cmath.isfinite(s):
+        raise _overflow(spec, z, k)
+    return s
+
+
+def _finite_jet(j: Jet, spec: PFQSpec, z: complex, k: int) -> Jet:
+    if not all(map(cmath.isfinite, j.coeffs)):
+        raise _overflow(spec, z, k)
+    return j
 
 
 def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     if spec.all_scalar:
-        acc = _ScalarSum()
-        small = 0
-        for k, t in enumerate(_term_iter_scalar(spec, z)):
-            acc.add(t)
-            if k > 0:
-                if abs(t) <= tol * max(1.0, abs(acc.value())):
-                    small += 1
-                    if small >= 2:
-                        return as_jet(acc.value(), spec.order)
-                else:
-                    small = 0
-            if k >= cap:
-                raise ConvergenceError(
-                    "no convergence in %d terms for %s at %r"
-                    % (cap, spec.describe(), z)
-                )
+        for _, s, stopped in _scalar_partials(spec, z, cap + 1, tol):
+            if stopped:
+                return as_jet(s, spec.order)
+        raise ConvergenceError(
+            "no convergence in %d terms for %s at %r" % (cap, spec.describe(), z)
+        )
     acc = _JetSum(spec.order + 1)
     small = 0
     for k, t in enumerate(_term_iter_jet(spec, z)):
         acc.add(t)
         if k > 0:
-            if _jet_norm(t) <= tol * max(1.0, _jet_norm(acc.value())):
+            total = _finite_jet(acc.value(), spec, z, k)
+            if _jet_norm(t) <= tol * max(1.0, _jet_norm(total)):
                 small += 1
                 if small >= 2:
-                    return acc.value()
+                    return total
             else:
                 small = 0
         if k >= cap:
@@ -340,12 +454,16 @@ def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
 
 def _sum_terminating(spec: PFQSpec, z: complex) -> Jet:
     n = spec.terminating_degree()
+    if spec.all_scalar:
+        for _, s, _ in _scalar_partials(spec, z, n + 1):
+            pass
+        return as_jet(s, spec.order)
     acc = _JetSum(spec.order + 1)
     for k, t in enumerate(_term_iter_jet(spec, z)):
         if k > n:
             break
         acc.add(t)
-    return acc.value()
+    return _finite_jet(acc.value(), spec, z, n)
 
 
 def _wynn_epsilon(seq: Sequence[complex]) -> complex:
@@ -385,40 +503,52 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     them into linearly convergent sequences the epsilon algorithm
     handles well.
     """
+    # the last checkpoint 64*2^j within the cap; terms past it could
+    # never reach another one
+    limit = _FIRST_CHECKPOINT
+    while 2 * limit <= cap + 1:
+        limit *= 2
+    if spec.all_scalar:
+        partials = (
+            as_jet(s, spec.order)
+            for n, s, _ in _scalar_partials(spec, z, limit)
+            if not n & (n - 1)  # a power of two: a checkpoint
+        )
+    else:
+        partials = _jet_checkpoints(spec, z, limit)
     width = spec.order + 1
-    acc = _JetSum(width)
     snapshots: list[Jet] = []
-    checkpoint = _FIRST_CHECKPOINT
     prev_est: Optional[Jet] = None
-    scalar = spec.all_scalar
-    it = _term_iter_scalar(spec, z) if scalar else _term_iter_jet(spec, z)
-    k = 0
-    for t in it:
-        if scalar:
-            acc.sums[0].add(t)
-        else:
-            acc.add(t)
-        k += 1
-        if k == checkpoint:
-            snapshots.append(acc.value())
-            checkpoint *= 2
-            if len(snapshots) >= 4:
-                cols = [
-                    _wynn_epsilon([s.coeffs[m] for s in snapshots])
-                    for m in range(width)
-                ]
-                est = Jet(tuple(cols))
-                if prev_est is not None:
-                    scale = max(1.0, _jet_norm(est))
-                    if _jet_norm(est - prev_est) <= tol * scale:
-                        return est
-                prev_est = est
-        if k > cap:
-            break
+    for snap in partials:
+        snapshots.append(snap)
+        if len(snapshots) >= 4:
+            cols = [
+                _wynn_epsilon([s.coeffs[m] for s in snapshots])
+                for m in range(width)
+            ]
+            est = Jet(tuple(cols))
+            if prev_est is not None:
+                scale = max(1.0, _jet_norm(est))
+                if _jet_norm(est - prev_est) <= tol * scale:
+                    return est
+            prev_est = est
     raise ConvergenceError(
         "acceleration did not stabilize within %d terms for %s at %r"
         % (cap, spec.describe(), z)
     )
+
+
+def _jet_checkpoints(spec: PFQSpec, z: complex, limit: int):
+    """Jet partial sums after 64, 128, 256, ... terms, up to `limit`."""
+    acc = _JetSum(spec.order + 1)
+    checkpoint = _FIRST_CHECKPOINT
+    for k, t in enumerate(_term_iter_jet(spec, z), 1):
+        acc.add(t)
+        if k == checkpoint:
+            yield _finite_jet(acc.value(), spec, z, k - 1)
+            checkpoint *= 2
+        if k >= limit:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +567,16 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
     if cls.kind is Kind.POLYNOMIAL:
         return _sum_terminating(spec, z)
     if cls.kind is Kind.ENTIRE:
+        if spec.p == 1 and spec.q == 1 and z.real < 0.0:
+            # Kummer, DLMF 13.2.39: 1F1(a;b;z) = e^z 1F1(b-a;b;-z).  Past
+            # k = a - b the series at -z keeps one sign, so it does not
+            # cancel the way the alternating one does.  Two factors
+            # e^(z/2) stay normal doubles where e^z alone would underflow.
+            (a,), (b,) = spec.upper, spec.lower
+            moved = PFQSpec((b - a,), (b,), order=spec.order)
+            inner = _eval_argument(moved, -z, tol)
+            half = cmath.exp(z / 2.0)
+            return Jet(tuple(c * half * half for c in inner.coeffs))
         return _direct_sum(spec, z, tol, TERM_CAP)
     # unit disk
     az = abs(z)
@@ -522,7 +662,7 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
     poly = [
         i
         for i, a in enumerate(ups)
-        if _is_nonpositive_int(a.value) and a.is_scalar
+        if _is_nonpositive_integer(a.value) and a.is_scalar
     ]
     if len(poly) > 1:
         raise LimitConditionError(

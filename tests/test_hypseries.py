@@ -1,19 +1,26 @@
 """Series construction, classification, evaluation, and limits."""
 
+import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from hypint.jets import Jet, as_jet, eps, extract
 from hypint.hypseries import (
+    TERM_CAP,
     AsymptoticTerm,
+    ConvergenceError,
     DivergentError,
     Kind,
     LimitConditionError,
     PFQSpec,
     SeriesError,
+    TermOverflowError,
     _accelerated_sum,
+    _direct_sum,
     cancel_parameters,
     classify,
     eval_at_one,
@@ -245,6 +252,145 @@ def test_gelfond_constant():
     first = eval_at_one(PFQSpec((1j, -1j), (0.5,))).value
     second = eval_at_one(PFQSpec((0.5 + 1j, 0.5 - 1j), (1.5,))).value
     assert first + 2.0 * second == pytest.approx(math.exp(math.pi), rel=1e-9)
+
+
+# -- summation kernel: block tail, seam, caps, overflow -------------------
+
+
+@pytest.mark.parametrize("z", [0.9, 0.97 * cmath.exp(0.7j), 0.93 * cmath.exp(2.5j)])
+def test_gauss_series_across_blocks_matches_scipy(z):
+    # a few hundred to tens of thousands of terms: several numpy blocks
+    for a, b, c in [(0.3, 0.7, 1.4), (1.2, 0.45, 2.9)]:
+        got = eval_series(PFQSpec((a, b), (c,), order=0), z).value
+        want = special.hyp2f1(a, b, c, z)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def _exp_stop(x: Fraction, tol: Fraction):
+    """Exact partial sum of exp(x) where the direct route's rule stops:
+    after two consecutive terms past the first, each at most
+    tol * max(1, |partial sum|)."""
+    term = total = Fraction(1)
+    small, k = False, 0
+    while True:
+        k += 1
+        term = term * x / k
+        total += term
+        if abs(term) <= tol * max(1, abs(total)):
+            if small:
+                return k, total
+            small = True
+        else:
+            small = False
+
+
+@pytest.mark.parametrize("x, last", [(31.5, 63), (32.5, 64), (33.25, 65)])
+def test_direct_stop_at_the_head_tail_seam(x, last):
+    # a loose tol makes the truncation visible: stopping one term early
+    # or late moves the sum by ~1e-6 relative
+    tol = 1e-6
+    k, partial = _exp_stop(Fraction(x), Fraction(tol))
+    assert k == last
+    got = _direct_sum(PFQSpec((), (), order=0), complex(x), tol, TERM_CAP).value
+    assert got == pytest.approx(float(partial), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 300])
+def test_long_terminating_sum_is_exact(n):
+    # all terms positive, so the exact rational sum is a fair reference;
+    # degree 300 runs through blocks of 64, 128 and a clipped 44
+    b, c, z = Fraction(3, 4), Fraction(5, 2), Fraction(-1, 4)
+    term = total = Fraction(1)
+    for k in range(n):
+        term *= (-n + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+    got = eval_series(PFQSpec((-float(n), float(b)), (float(c),), order=0), float(z))
+    assert got.value.real == pytest.approx(float(total), rel=1e-13)
+
+
+@pytest.mark.parametrize("a, b, c", [(0.6, 1.3, 2.7), (1.5, 0.4, 1.9)])
+def test_three_f_two_at_one_by_wynn(a, b, c):
+    # sum (a)_k (b)_k / ((c)_k (k+1)!) is (2F1(a-1,b-1;c-1;1) - 1)
+    # * (c-1)/((a-1)(b-1)), and Gauss sums the 2F1
+    got = eval_at_one(PFQSpec((a, b, 1.0), (c, 2.0), order=0)).value
+    gauss = (
+        math.gamma(c - 1.0)
+        * math.gamma(c - a - b + 1.0)
+        / (math.gamma(c - a) * math.gamma(c - b))
+    )
+    want = (c - 1.0) / ((a - 1.0) * (b - 1.0)) * (gauss - 1.0)
+    assert got.real == pytest.approx(want, rel=1e-10)
+
+
+def test_slow_boundary_tail_still_hits_the_cap():
+    # sigma = 0.4 on |z| = 1 off the axis: Wynn never settles
+    with pytest.raises(ConvergenceError):
+        eval_series(PFQSpec((0.3, 0.7), (1.4,), order=0), cmath.exp(1j))
+    with pytest.raises(ConvergenceError, match="300 terms"):
+        _direct_sum(PFQSpec((0.3, 0.7), (1.4,), order=0), 0.99 + 0j, 1e-12, 300)
+
+
+def test_exp_up_to_the_overflow_threshold():
+    # each term is a running product of ~700 ratios, ~k ulp off at term k
+    got = eval_series(PFQSpec((), (), order=0), 709.0).value
+    assert got.real == pytest.approx(math.exp(709.0), rel=1e-11)
+    # every term is finite, the sum is not
+    with pytest.raises(TermOverflowError):
+        eval_series(PFQSpec((), (), order=0), 710.0)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_overflowing_terms_raise_at_once(order):
+    a = 2.5 + eps(1) if order else 2.5
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((a,), (1.0,), order=order), -728.0)
+    assert 0 < err.value.k < 2000
+
+
+def test_jet_partial_sum_overflow_raises():
+    # the value stays below 4e307; every term of the derivative is
+    # finite, but their sum, about -2.3e308, is not
+    with pytest.raises(TermOverflowError):
+        eval_series(PFQSpec((), (1.5 + eps(1),)), 128000.0)
+
+
+def test_jet_terms_near_the_top_of_the_range():
+    # 1F1(a;1;x) at a = 1 is e^x = 1.4e307, and its a-derivative
+    # sum H_k x^k / k! = e^x (ln x + gamma + E1(x)) is 9.7e307; E1(707)
+    # is below 1e-300
+    x = 707.2
+    jet = eval_series(PFQSpec((1.0 + eps(1),), (1.0,)), x)
+    slope = math.exp(x) * (math.log(x) + 0.5772156649015329)
+    assert extract(0, jet).real == pytest.approx(math.exp(x), rel=1e-10)
+    assert extract(1, jet).real == pytest.approx(slope, rel=1e-10)
+
+
+# -- Kummer's transformation for 1F1 at Re z < 0 ---------------------------
+
+
+@pytest.mark.parametrize("x", [50.0, 400.0, 700.0])
+def test_kummer_error_function(x):
+    # 1F1(1/2; 3/2; -x) = sqrt(pi) erf(sqrt(x)) / (2 sqrt(x))
+    got = eval_series(PFQSpec((0.5,), (1.5,), order=0), -x).value
+    want = math.sqrt(math.pi) * math.erf(math.sqrt(x)) / (2.0 * math.sqrt(x))
+    assert got.real == pytest.approx(want, rel=1e-10)
+
+
+def test_kummer_generic_parameters():
+    for a, b in [(1.3, 2.7), (3.3, 0.7)]:
+        got = eval_series(PFQSpec((a,), (b,), order=0), -30.0).value
+        assert got.real == pytest.approx(special.hyp1f1(a, b, -30.0), rel=1e-10)
+
+
+def test_kummer_jet_matches_scipy_difference():
+    # the plain series at -50 loses every digit of the a-derivative
+    h = 1e-5
+    jet = eval_series(PFQSpec((0.5 + eps(1),), (1.5,)), -50.0)
+    up = special.hyp1f1(0.5 + h, 1.5, -50.0)
+    down = special.hyp1f1(0.5 - h, 1.5, -50.0)
+    want = special.hyp1f1(0.5, 1.5, -50.0)
+    assert extract(0, jet).real == pytest.approx(want, rel=1e-10)
+    assert extract(1, jet).real == pytest.approx((up - down) / (2.0 * h), rel=1e-7)
 
 
 # -- jets -------------------------------------------------------------------
