@@ -15,6 +15,7 @@ names the failed clause), 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -1245,6 +1246,9 @@ def _fmt_param(p) -> str:
 # entry point
 
 
+# built once per process: in-process callers run main() many times, and
+# parse_args leaves the parser unchanged
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hypint",

@@ -10,6 +10,7 @@ the integration drivers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -18,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, as_jet, jet_inverse, jet_mul
+from .jets import DEFAULT_ORDER, Jet, as_jet
 from .numkernel import (
     _is_nonpositive_integer,
     gamma_jet,
@@ -204,13 +205,16 @@ class PFQSpec:
         )
 
 
-def classify(spec: PFQSpec) -> ConvergenceClass:
-    sigma = spec.sigma.value
+def _kind(spec: PFQSpec) -> Kind:
     if spec.terminating_degree() is not None:
-        return ConvergenceClass(Kind.POLYNOMIAL, sigma)
+        return Kind.POLYNOMIAL
     if spec.p == spec.q + 1:
-        return ConvergenceClass(Kind.UNIT_DISK, sigma)
-    return ConvergenceClass(Kind.ENTIRE, sigma)
+        return Kind.UNIT_DISK
+    return Kind.ENTIRE
+
+
+def classify(spec: PFQSpec) -> ConvergenceClass:
+    return ConvergenceClass(_kind(spec), spec.sigma.value)
 
 
 def value_at_zero(spec: PFQSpec) -> Jet:
@@ -265,43 +269,8 @@ class _ScalarSum:
         return complex(self.re + self.cre, self.im + self.cim)
 
 
-class _JetSum:
-    __slots__ = ("sums",)
-
-    def __init__(self, n: int):
-        self.sums = [_ScalarSum() for _ in range(n)]
-
-    def add(self, j: Jet):
-        for s, c in zip(self.sums, j.coeffs):
-            s.add(c)
-
-    def value(self) -> Jet:
-        return Jet(tuple(s.value() for s in self.sums))
-
-
 def _jet_norm(j: Jet) -> float:
     return max(abs(c) for c in j.coeffs)
-
-
-def _scalar_params(spec: PFQSpec):
-    return [a.value for a in spec.upper], [c.value for c in spec.lower]
-
-
-def _term_iter_jet(spec: PFQSpec, z: complex):
-    t = as_jet(1, spec.order)
-    k = 0
-    while True:
-        yield _finite_jet(t, spec, z, k)
-        # the ratio first: t * (a + k) alone would overflow near the top
-        # of the double range, where the term itself is still finite
-        den = as_jet(k + 1.0, spec.order)
-        for cj in spec.lower:
-            den = jet_mul(den, cj + k)
-        ratio = jet_inverse(den) * z
-        for ai in spec.upper:
-            ratio = jet_mul(ratio, ai + k)
-        t = jet_mul(t, ratio)
-        k += 1
 
 
 def _overflow(spec: PFQSpec, z: complex, k: int) -> TermOverflowError:
@@ -312,158 +281,256 @@ def _overflow(spec: PFQSpec, z: complex, k: int) -> TermOverflowError:
     )
 
 
-def _ratio_block(a, c, z, k0: int, n: int):
-    """t_{k+1}/t_k for k = k0 .. k0+n-1, as one numpy array."""
-    k = np.arange(k0, k0 + n, dtype=float)
-    r = z / (k + 1.0)
-    for ai in a:
-        r *= k + ai
-    for cj in c:
-        r /= k + cj
-    return r
+def _mul_matrix(c: np.ndarray) -> np.ndarray:
+    """The matrix T with x @ T = x * c, for rows x of truncated jets."""
+    w = len(c)
+    t = np.zeros((w, w), dtype=c.dtype)
+    for i in range(w):
+        t[i, i:] = c[: w - i]
+    return t
 
 
-def _scalar_partials(spec: PFQSpec, z: complex, limit: int, tol=None):
-    """Partial sums of a scalar-parameter series, up to `limit` terms.
+def _nilpotent_exp(logs: np.ndarray) -> np.ndarray:
+    """exp of each row of `logs`, a truncated jet with zero constant part.
 
-    Yields (n, S_n, stopped) with n the number of terms summed.  The
-    first _FIRST_CHECKPOINT terms run through the per-term recurrence,
-    so a short series never touches numpy; past them terms come in
-    blocks t_k0 * cumprod(ratio) whose lengths double from
-    _FIRST_CHECKPOINT up to _BLOCK_CAP, so every power-of-two count from
-    64 on ends a block.  Each block is added exactly with math.fsum.
+    From E' = L'E: e * E_e = sum over i = 1..e of i * L_i * E_(e-i).
+    """
+    width = logs.shape[1]
+    dl = logs * np.arange(width)
+    out = np.empty_like(logs)
+    out[:, 0] = 1.0
+    for e in range(1, width):
+        out[:, e] = sum(dl[:, i] * out[:, e - i] for i in range(1, e + 1)) / e
+    return out
+
+
+class _Terms:
+    """The terms of one series in numpy blocks, from a running state.
+
+    A term is t_k = T_k * exp(L_k) * M_k.  T_k is the running product of
+    the scalar term ratios.  L_k is the running sum of the jet logs
+    log(1 + delta/(b + j)) of the ratio factors b + j + delta, upper
+    ones added and lower ones subtracted.  M_k is the product of the
+    factors taken whole: each jet parameter's factor at the one j, if
+    any, where b + j lies within 1/2 of zero.  There the log would cancel
+    catastrophically, and at a zero base, as in 2F1(eps, eps; 1; z), it
+    does not exist.  With scalar parameters only, L and M stay trivial
+    and a block is t * cumprod(ratio).
+    """
+
+    def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool):
+        dtype = float if real else complex
+        cast = (lambda v: v.real) if real else complex
+        width = spec.order + 1
+        self.z, self.t = cast(z), cast(t)
+        self.log, self.mult, self.powers = 0.0, None, np.arange(1, width)
+        # (base, +1 upper / -1 lower, log coefficients or None, j taken whole)
+        self.factors = []
+        whole: dict = {}
+        for sign, params in ((1, spec.upper), (-1, spec.lower)):
+            for p in params:
+                b = cast(p.value)
+                logs = j0 = None
+                if not p.is_scalar:
+                    jet = np.array([cast(c) for c in p.coeffs], dtype)
+                    nil = jet.copy()
+                    nil[0] = 0.0
+                    step = _mul_matrix(nil)
+                    power, rows = np.eye(width, dtype=dtype)[0], []
+                    for m in range(1, width):
+                        # log(1 + delta*w) = sum of (-1)^(m+1) delta^m w^m / m
+                        power = power @ step
+                        rows.append(sign * (-1) ** (m + 1) / m * power)
+                    logs = np.array(rows)
+                    near = round(-b.real)
+                    if near >= 0 and abs(b + near) < 0.5:
+                        j0 = near
+                        jet[0] = b + near
+                        factor = _mul_matrix(jet)
+                        if sign < 0:
+                            factor = np.linalg.inv(factor)
+                        whole.setdefault(j0, []).append(factor)
+                self.factors.append((b, sign, logs, j0))
+        # (j, the scalar ratio at j without the factors taken whole, their product)
+        self.events = []
+        for j0, mats in sorted(whole.items()):
+            ratio = self.z / (j0 + 1.0)
+            for b, sign, _, at in self.factors:
+                if at != j0:
+                    ratio = ratio * (b + j0) if sign > 0 else ratio / (b + j0)
+            self.events.append((j0, ratio, functools.reduce(np.matmul, mats)))
+
+    def block(self, k0: int, m: int) -> np.ndarray:
+        """Terms k0+1 .. k0+m as the rows of an (m, columns) array."""
+        k = np.arange(k0, k0 + m, dtype=float)
+        r = self.z / (k + 1.0)
+        logs = None
+        for b, sign, coeffs, j0 in self.factors:
+            d = k + b
+            if sign > 0:
+                r *= d
+            else:
+                r /= d
+            if coeffs is not None:
+                w = 1.0 / d
+                if j0 is not None and k0 <= j0 < k0 + m:
+                    w[j0 - k0] = 0.0
+                part = (w[:, None] ** self.powers) @ coeffs
+                logs = part if logs is None else logs + part
+        hits = [(j0 - k0, ratio, step) for j0, ratio, step in self.events
+                if k0 <= j0 < k0 + m] if self.events else ()
+        for i, ratio, _ in hits:
+            r[i] = ratio
+        t = self.t * np.cumprod(r)
+        self.t = t[-1]
+        if logs is None:
+            return t[:, None]
+        logs = self.log + np.cumsum(logs, axis=0)
+        self.log = logs[-1]
+        blk = t[:, None] * _nilpotent_exp(logs)
+        if self.mult is not None:
+            blk = blk @ self.mult
+        for i, _, step in hits:
+            blk[i:] = blk[i:] @ step
+            self.mult = step if self.mult is None else self.mult @ step
+        return blk
+
+
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """The largest coefficient modulus of each row."""
+    mag = np.abs(x)
+    # one column is the scalar case, where a reduction only costs time
+    return mag[:, 0] if mag.shape[1] == 1 else mag.max(axis=1)
+
+
+def _sums(acc: list, spec: PFQSpec, z: complex, k: int) -> tuple:
+    s = tuple(a.value() for a in acc)
+    if not all(map(cmath.isfinite, s)):
+        raise _overflow(spec, z, k)
+    return s
+
+
+def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
+    """Partial sums of the series, up to `limit` terms.
+
+    Yields (n, S_n, stopped), with n the number of terms summed and S_n
+    the order+1 jet coefficients of the partial sum.  With scalar
+    parameters the first _FIRST_CHECKPOINT terms run through the
+    per-term recurrence, so a short series never touches numpy; a jet
+    series starts from its first term alone.  The rest come in _Terms
+    blocks ending at 64 terms, then with lengths doubling up to
+    _BLOCK_CAP, so every power-of-two count from 64 on ends a block.
+    Each coefficient of each block is added exactly with math.fsum, and
+    the block sums are compensated across blocks.
 
     With `tol`, the sum stops after two consecutive terms (past the
-    first) each at most tol * max(1, |partial sum|), and yields
-    stopped=True.  A non-finite term or partial sum raises
-    TermOverflowError at once.
+    first) each at most tol * max(1, |partial sum|), |.| the largest
+    coefficient modulus, and yields stopped=True.  A non-finite term or
+    partial sum raises TermOverflowError at once.
     """
-    a, c = _scalar_params(spec)
-    acc = _ScalarSum()
-    acc.re = 1.0  # the first term
+    acc = [_ScalarSum() for _ in range(spec.order + 1)]
+    acc[0].re = 1.0  # the first term
     small = False
     t = 1.0 + 0j
-    head = min(_FIRST_CHECKPOINT, limit)
-    isfinite = cmath.isfinite
-    for k in range(1, head):
-        j = k - 1
-        num = z
-        for ai in a:
-            num *= ai + j
-        den = float(k)
-        for cj in c:
-            den *= cj + j
-        t = t * num / den
-        if not isfinite(t):
-            raise _overflow(spec, z, k)
-        acc.add(t)
-        if tol is not None:
-            if abs(t) <= tol * max(1.0, abs(acc.value())):
-                if small:
-                    yield k + 1, _finite(acc.value(), spec, z, k), True
-                    return
-                small = True
-            else:
-                small = False
-    n = head
-    yield n, _finite(acc.value(), spec, z, n - 1), False
-    # real inputs keep the tail in float64, at half the cost of complex
-    real = z.imag == 0.0 and all(p.imag == 0.0 for p in (*a, *c))
-    cast = (lambda v: v.real) if real else complex
-    bz, a, c, t = cast(z), [cast(p) for p in a], [cast(p) for p in c], cast(t)
-    size = _FIRST_CHECKPOINT
+    n = 1
+    if spec.all_scalar:
+        a = [p.value for p in spec.upper]
+        c = [p.value for p in spec.lower]
+        s0 = acc[0]
+        n = min(_FIRST_CHECKPOINT, limit)
+        isfinite = cmath.isfinite
+        for k in range(1, n):
+            j = k - 1
+            num = z
+            for ai in a:
+                num *= ai + j
+            den = float(k)
+            for cj in c:
+                den *= cj + j
+            t = t * num / den
+            if not isfinite(t):
+                raise _overflow(spec, z, k)
+            s0.add(t)
+            if tol is not None:
+                if abs(t) <= tol * max(1.0, abs(s0.value())):
+                    if small:
+                        yield k + 1, _sums(acc, spec, z, k), True
+                        return
+                    small = True
+                else:
+                    small = False
+    yield n, _sums(acc, spec, z, n - 1), False
+    if n >= limit:
+        return
+    # real inputs keep the blocks in float64, at half the cost of complex
+    real = z.imag == 0.0 and all(
+        x.imag == 0.0 for p in (*spec.upper, *spec.lower) for x in p.coeffs
+    )
+    terms = _Terms(spec, z, t, real)
     while n < limit:
-        m = min(size, limit - n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            blk = t * np.cumprod(_ratio_block(a, c, bz, n - 1, m))
-            # the running product keeps a non-finite term non-finite, so
-            # the last term shows whether any term overflowed
+        if n < _FIRST_CHECKPOINT:
+            m = _FIRST_CHECKPOINT - n
+        else:
+            m = min(n, _BLOCK_CAP)
+        m = min(m, limit - n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            blk = terms.block(n - 1, m)
             bad = None
-            if not cmath.isfinite(blk[-1]):
-                bad = int(np.argmin(np.isfinite(blk)))
+            if not np.isfinite(blk).all():
+                bad = int(np.argmin(np.isfinite(blk).all(axis=1)))
                 blk = blk[:bad]
             stop = None
-            if tol is not None and blk.size:
-                part = cast(acc.value()) + np.cumsum(blk)
-                tiny = np.abs(blk) <= tol * np.maximum(1.0, np.abs(part))
+            if tol is not None:
+                now = np.array([s.value() for s in acc[: blk.shape[1]]])
+                part = (now.real if real else now) + np.cumsum(blk, axis=0)
+                size = _row_norm(part)
+                # a partial sum past the double range is an overflow, not
+                # a scale that makes every term look small
+                if size.size and not np.isfinite(size[-1]):
+                    bad = int(np.argmin(np.isfinite(size)))
+                    blk, size = blk[:bad], size[:bad]
+                tiny = _row_norm(blk) <= tol * np.maximum(1.0, size)
                 if tiny.any():
                     both = tiny[1:] & tiny[:-1]
                     if small and tiny[0]:
                         stop = 0
                     elif both.any():
                         stop = int(np.argmax(both)) + 1
-                small = bool(tiny[-1])
+                if tiny.size:
+                    small = bool(tiny[-1])
         if stop is not None:
             blk = blk[: stop + 1]
         elif bad is not None:
             raise _overflow(spec, z, n + bad)
         try:
             if real:
-                acc.add(complex(math.fsum(blk.tolist())))
+                for col, s in zip(blk.T.tolist(), acc):
+                    s.add(complex(math.fsum(col)))
             else:
-                acc.add(
-                    complex(math.fsum(blk.real.tolist()), math.fsum(blk.imag.tolist()))
-                )
+                for col, s in zip(blk.T, acc):
+                    s.add(complex(math.fsum(col.real.tolist()),
+                                  math.fsum(col.imag.tolist())))
         except OverflowError:
-            raise _overflow(spec, z, n + blk.size - 1) from None
-        n += blk.size
-        yield n, _finite(acc.value(), spec, z, n - 1), stop is not None
+            raise _overflow(spec, z, n + len(blk) - 1) from None
+        n += len(blk)
+        yield n, _sums(acc, spec, z, n - 1), stop is not None
         if stop is not None:
             return
-        t = blk[-1]
-        size = min(2 * size, _BLOCK_CAP)
-
-
-def _finite(s: complex, spec: PFQSpec, z: complex, k: int) -> complex:
-    if not cmath.isfinite(s):
-        raise _overflow(spec, z, k)
-    return s
-
-
-def _finite_jet(j: Jet, spec: PFQSpec, z: complex, k: int) -> Jet:
-    if not all(map(cmath.isfinite, j.coeffs)):
-        raise _overflow(spec, z, k)
-    return j
 
 
 def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
-    if spec.all_scalar:
-        for _, s, stopped in _scalar_partials(spec, z, cap + 1, tol):
-            if stopped:
-                return as_jet(s, spec.order)
-        raise ConvergenceError(
-            "no convergence in %d terms for %s at %r" % (cap, spec.describe(), z)
-        )
-    acc = _JetSum(spec.order + 1)
-    small = 0
-    for k, t in enumerate(_term_iter_jet(spec, z)):
-        acc.add(t)
-        if k > 0:
-            total = _finite_jet(acc.value(), spec, z, k)
-            if _jet_norm(t) <= tol * max(1.0, _jet_norm(total)):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
-        if k >= cap:
-            raise ConvergenceError(
-                "no convergence in %d terms for %s at %r" % (cap, spec.describe(), z)
-            )
+    for _, s, stopped in _partials(spec, z, cap + 1, tol):
+        if stopped:
+            return Jet(s)
+    raise ConvergenceError(
+        "no convergence in %d terms for %s at %r" % (cap, spec.describe(), z)
+    )
 
 
 def _sum_terminating(spec: PFQSpec, z: complex) -> Jet:
-    n = spec.terminating_degree()
-    if spec.all_scalar:
-        for _, s, _ in _scalar_partials(spec, z, n + 1):
-            pass
-        return as_jet(s, spec.order)
-    acc = _JetSum(spec.order + 1)
-    for k, t in enumerate(_term_iter_jet(spec, z)):
-        if k > n:
-            break
-        acc.add(t)
-    return _finite_jet(acc.value(), spec, z, n)
+    for _, s, _ in _partials(spec, z, spec.terminating_degree() + 1):
+        pass
+    return Jet(s)
 
 
 def _wynn_epsilon(seq: Sequence[complex]) -> complex:
@@ -508,14 +575,12 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
-    if spec.all_scalar:
-        partials = (
-            as_jet(s, spec.order)
-            for n, s, _ in _scalar_partials(spec, z, limit)
-            if not n & (n - 1)  # a power of two: a checkpoint
-        )
-    else:
-        partials = _jet_checkpoints(spec, z, limit)
+    partials = (
+        Jet(s)
+        for n, s, _ in _partials(spec, z, limit)
+        # 64 * 2^j: a checkpoint
+        if n >= _FIRST_CHECKPOINT and not n & (n - 1)
+    )
     width = spec.order + 1
     snapshots: list[Jet] = []
     prev_est: Optional[Jet] = None
@@ -538,19 +603,6 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     )
 
 
-def _jet_checkpoints(spec: PFQSpec, z: complex, limit: int):
-    """Jet partial sums after 64, 128, 256, ... terms, up to `limit`."""
-    acc = _JetSum(spec.order + 1)
-    checkpoint = _FIRST_CHECKPOINT
-    for k, t in enumerate(_term_iter_jet(spec, z), 1):
-        acc.add(t)
-        if k == checkpoint:
-            yield _finite_jet(acc.value(), spec, z, k - 1)
-            checkpoint *= 2
-        if k >= limit:
-            return
-
-
 # ---------------------------------------------------------------------------
 # public evaluation
 
@@ -563,10 +615,10 @@ def eval_series(spec: PFQSpec, x: complex, tol: float = DEFAULT_TOL) -> Jet:
 def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
     if z == 0:
         return value_at_zero(spec)
-    cls = classify(spec)
-    if cls.kind is Kind.POLYNOMIAL:
+    kind = _kind(spec)
+    if kind is Kind.POLYNOMIAL:
         return _sum_terminating(spec, z)
-    if cls.kind is Kind.ENTIRE:
+    if kind is Kind.ENTIRE:
         if spec.p == 1 and spec.q == 1 and z.real < 0.0:
             # Kummer, DLMF 13.2.39: 1F1(a;b;z) = e^z 1F1(b-a;b;-z).  Past
             # k = a - b the series at -z keeps one sign, so it does not
@@ -603,11 +655,12 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
     if abs(az - 1.0) <= 1e-14:
         if abs(z - 1.0) <= 1e-14:
             return eval_at_one(spec, tol)
-        if cls.sigma.real > 0:
+        sigma = spec.sigma.value
+        if sigma.real > 0:
             return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
         raise DivergentError(
             "boundary argument %r needs positive parameter excess, have %r"
-            % (z, cls.sigma)
+            % (z, sigma)
         )
     if spec.p == 2 and z.imag == 0.0 and z.real > 0.95:
         # too close to the branch point for plain acceleration

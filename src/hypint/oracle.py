@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import scipy.integrate as _si
-
 __all__ = [
     "OracleError",
     "QuadratureResult",
@@ -122,6 +120,10 @@ def quad_finite(
         raise OracleError("quad_finite endpoints must be finite")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
+    # imported here: scipy.integrate costs about half a second, and
+    # `import hypint` should not pay it for callers that never integrate
+    import scipy.integrate as _si
+
     g = _Counted(f)
     val = math.nan
     err = math.inf

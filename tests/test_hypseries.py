@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -363,6 +364,137 @@ def test_jet_terms_near_the_top_of_the_range():
     slope = math.exp(x) * (math.log(x) + 0.5772156649015329)
     assert extract(0, jet).real == pytest.approx(math.exp(x), rel=1e-10)
     assert extract(1, jet).real == pytest.approx(slope, rel=1e-10)
+
+
+# -- jet kernel: zero bases, seams, Wynn ------------------------------------
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("w", [0.5, 0.9, 0.97 * cmath.exp(0.7j)])
+@pytest.mark.parametrize("a0", [0.0, -3.0 + 1e-6, 0.5])
+def test_binomial_jet_matches_logarithm_powers(a0, w, order):
+    # 1F0(a0+eps;;w) = (1-w)^(-a0) (1-w)^(-eps), so coefficient m is
+    # (1-w)^(-a0) (-log(1-w))^m / m!.  Base 0 makes the first ratio
+    # factor purely nilpotent, base -3 + 1e-6 puts a factor 1e-6 from
+    # zero at j = 3; w = 0.9 runs a few hundred terms over several
+    # blocks, and 0.97e^{0.7i} goes through Wynn.
+    jet = eval_series(PFQSpec((a0 + eps(order),), ()), w)
+    lg = -cmath.log(1.0 - w)
+    head = cmath.exp(-a0 * cmath.log(1.0 - w))
+    for m in range(order + 1):
+        want = head * lg**m / math.factorial(m)
+        assert abs(extract(m, jet) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_jet_overflow_names_the_first_bad_term_or_sum():
+    # references in log space: the largest coefficient of a jet term, or
+    # of the running sum, against log(DBL_MAX); +-1 for rounding
+    top = math.log(sys.float_info.max)
+    # 0F1(;b+eps;-x) alternates, so a term leaves the range first; the
+    # eps coefficient of term k is -t_k sum_{j<k} 1/(b+j)
+    b, x = 1.5, 2e5
+    lt = harm = 0.0
+    k = 0
+    while lt + max(0.0, math.log(harm or 1.0)) <= top:
+        k += 1
+        lt += math.log(x / (k * (b + k - 1)))
+        harm += 1.0 / (b + k - 1)
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((), (b + eps(1),)), -x)
+    assert abs(err.value.k - k) <= 1
+    # the terminating 2F1(-400, 1+eps; 1; 1000) alternates too and has
+    # no stop rule; the eps coefficient of term k is t_k H_k
+    lt = harm = 0.0
+    k = 0
+    while lt + max(0.0, math.log(harm or 1.0)) <= top:
+        k += 1
+        lt += math.log((400 - k + 1) * 1000.0 / k)
+        harm += 1.0 / k
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((-400.0, 1.0 + eps(1)), (1.0,)), 1000.0)
+    assert abs(err.value.k - k) <= 1
+    # 1F1(1+eps;1;x) has positive terms H_k x^k / k!, whose sum leaves
+    # the range about ten terms before any term does
+    x = 720.0
+    lt = harm = 0.0
+    log_sum = -math.inf
+    k = 0
+    while log_sum <= top:
+        k += 1
+        lt += math.log(x / k)
+        harm += 1.0 / k
+        log_sum = max(log_sum, lt + math.log(harm)) + math.log1p(
+            math.exp(-abs(log_sum - lt - math.log(harm)))
+        )
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((1.0 + eps(1),), (1.0,)), x)
+    assert abs(err.value.k - k) <= 1
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_dilogarithm_from_two_zero_bases(order):
+    # 2F1(eps,eps;1;z) = 1 + eps^2 Li2(z) + O(eps^3): z = i runs Wynn,
+    # where Li2(i) = -pi^2/48 + i G; z = 1/2 runs the direct sum, where
+    # Li2(1/2) = pi^2/12 - ln(2)^2/2
+    e = eps(order)
+    spec = PFQSpec((e, e), (1.0,))
+    at_i = eval_series(spec, 1j)
+    assert extract(0, at_i) == pytest.approx(1.0, abs=1e-14)
+    assert abs(extract(1, at_i)) <= 1e-14
+    li2_i = complex(-math.pi**2 / 48.0, CATALAN)
+    assert extract(2, at_i) == pytest.approx(li2_i, abs=1e-11)
+    li2_half = math.pi**2 / 12.0 - math.log(2.0) ** 2 / 2.0
+    assert extract(2, eval_series(spec, 0.5)) == pytest.approx(li2_half, abs=1e-11)
+
+
+def _jet_mul_exact(p, q):
+    return [sum(p[i] * q[m - i] for i in range(m + 1)) for m in range(len(p))]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 300])
+def test_long_terminating_jet_sum_is_exact(n):
+    # 2F1(-n, b+eps; c; z) as an exact polynomial in eps over the
+    # rationals; every coefficient of every term is positive at z < 0
+    b, c, z = Fraction(3, 4), Fraction(5, 2), Fraction(-1, 4)
+    term = [Fraction(1), Fraction(0), Fraction(0)]
+    total = list(term)
+    for k in range(n):
+        r = (-n + k) * z / ((c + k) * (k + 1))
+        term = _jet_mul_exact(term, [r * (b + k), r, Fraction(0)])
+        total = [s + t for s, t in zip(total, term)]
+    got = eval_series(PFQSpec((-float(n), float(b) + eps(2)), (float(c),)), float(z))
+    for m in range(3):
+        assert extract(m, got).real == pytest.approx(float(total[m]), rel=1e-13)
+
+
+@pytest.mark.parametrize("x, last", [(31.75, 63), (32.5, 64), (33.0, 65)])
+def test_jet_direct_stop_at_a_block_seam(x, last):
+    # 1F1(1+eps;1;x) = sum (1 + eps H_k) x^k / k!, which tends to
+    # e^x (1 + eps (ln x + gamma + E1(x))).  The exact partial sum where
+    # the direct rule stops (two consecutive terms whose largest
+    # coefficient is at most tol * max(1, largest coefficient of the
+    # sum)) is the reference; the first jet block ends at term 63.
+    tol, xf = 1e-6, Fraction(x)
+    term = [Fraction(1), Fraction(0)]
+    total = list(term)
+    small, k = False, 0
+    while True:
+        term = _jet_mul_exact(term, [xf / (k + 1), xf / (k + 1) ** 2])
+        k += 1
+        total = [s + t for s, t in zip(total, term)]
+        if max(map(abs, term)) <= Fraction(tol) * max(1, *map(abs, total)):
+            if small:
+                break
+            small = True
+        else:
+            small = False
+    assert k == last
+    got = _direct_sum(PFQSpec((1.0 + eps(1),), (1.0,)), complex(x), tol, TERM_CAP)
+    for m in range(2):
+        assert extract(m, got).real == pytest.approx(float(total[m]), rel=1e-13)
+    # and the sum is the closed form to about tol
+    slope = math.exp(x) * (math.log(x) + 0.5772156649015329 + special.exp1(x))
+    assert extract(1, got).real == pytest.approx(slope, rel=1e-5)
 
 
 # -- Kummer's transformation for 1F1 at Re z < 0 ---------------------------

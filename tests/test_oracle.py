@@ -1,6 +1,8 @@
 """Quadrature oracle: known integrals, substitution cross-checks, honesty."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,17 @@ def test_catalan_literal_against_alternating_series():
     s = sum((-1.0) ** k / (2 * k + 1) ** 2 for k in range(n))
     s += (-1.0) ** n / (2 * n + 1) ** 2 / 2.0
     assert abs(s - CATALAN) < 5e-13
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # quad_finite imports it on first use; a fresh interpreter shows
+    # whether `import hypint` pulled it in
+    code = "import sys, hypint; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_inverse_sqrt_endpoint_singularity():
