@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .jets import Jet, as_jet
-from .numkernel import _is_nonpositive_integer, pochhammer
+from .numkernel import _is_nonpositive_integer
 from .oracle import quad_finite
 
 __all__ = [
@@ -35,6 +35,10 @@ Scalar = Union[int, float, complex]
 ParamLike = Union[Scalar, Jet]
 
 STREAM_CAP = 100_000
+
+# hypize rescales its running Pochhammer products by an exact power of two
+_RESCALE_AT = 2.0**512
+_RESCALE = 2.0**-512
 
 
 def _order_of(x: ParamLike) -> int:
@@ -219,9 +223,24 @@ def hypize(f: CoeffStream, a: ParamLike, c: ParamLike) -> CoeffStream:
     n = max(_order_of(a), _order_of(c))
     if n:
         a, c = _lift(a, n), _lift(c, n)
+        one = as_jet(1, n)
+    else:
+        a, c, one = complex(a), complex(c), complex(1.0)
+    # (a)_k and (c)_k as running products, extended by one factor per new
+    # k in the order `pochhammer` multiplies.  Both carry the same power
+    # of two, so their quotient is bitwise the unscaled one wherever both
+    # unscaled products are finite, and stays finite past their overflow.
+    run = [0, one, one]
 
     def weighted(k: int, _f=f, _a=a, _c=c):
-        return _mul(_f.coeff(k), pochhammer(_a, k) / pochhammer(_c, k))
+        j, pa, pc = run if k >= run[0] else (0, one, one)
+        while j < k:
+            pa, pc = pa * (_a + j), pc * (_c + j)
+            j += 1
+            if max(_magnitude(pa), _magnitude(pc)) > _RESCALE_AT:
+                pa, pc = pa * _RESCALE, pc * _RESCALE
+        run[:] = j, pa, pc
+        return _mul(_f.coeff(k), pa / pc)
 
     return CoeffStream(
         weighted,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from hypint import cli
+from hypint import cli, integrate
 from hypint.cli import (
     Add,
     Call,
@@ -308,6 +308,137 @@ def test_integrate_gaussian_like_power(capsys):
     assert payload["value"]["re"] == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "expr, to, want",
+    [
+        ("x/(1+x^2)^2", "inf", "1/2"),
+        ("1/(1+x)^2", "inf", "1"),
+        ("1/(1+2*x)^2", "inf", "2^(-1)"),
+    ],
+)
+def test_closed_form_without_gamma_factors(expr, to, want, capsys):
+    # the augmented pair cancels and leaves no Gamma quotient
+    code, out, _ = run_cli(["integrate", expr, "--to", to, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["closed_form"] == want
+
+
+# ---------------------------------------------------------------------------
+# the oracle integrates the expression as typed
+
+
+def _oracle_payload(expr, to, capsys):
+    code, out, err = run_cli(
+        ["integrate", expr, "--to", to, "--oracle", "--json"], capsys
+    )
+    assert code == 0, err
+    return json.loads(out)
+
+
+_BETA_HALF_QUARTER = math.gamma(0.5) * math.gamma(0.25) / math.gamma(0.75)
+
+
+@pytest.mark.parametrize(
+    "expr, to, want, rel",
+    [
+        ("arcsin(x)", "1", math.pi / 2 - 1, 1e-10),
+        ("x*arctan(x)", "1", math.pi / 4 - 0.5, 1e-10),
+        ("sqrt(1+x)", "1", (2.0 / 3.0) * (2.0 * math.sqrt(2.0) - 1.0), 1e-10),
+        ("1/(1+x^2)", "1", math.pi / 4, 1e-10),
+        ("x*sqrt(1-x^2)", "1", 1.0 / 3.0, 1e-10),
+        ("(-x)/(1+x^2)^2", "inf", -0.5, 1e-10),
+        ("0.5*x^2/(1+x^3)^2", "inf", 1.0 / 6.0, 1e-10),
+        ("1/(1+x^3)", "inf", 2 * math.pi / (3 * math.sqrt(3.0)), 1e-10),
+        ("x^(-1/2)/(1+3*x)^(3/4)", "inf", _BETA_HALF_QUARTER / math.sqrt(3.0),
+         1e-10),
+        # the engine's integrand is weakest at the branch point x^2 = 1
+        ("x*2F1(1/2,1/2;3/2;x^2)", "1", math.pi / 2 - 1, 1e-9),
+    ],
+)
+def test_oracle_matches_closed_form(expr, to, want, rel, capsys):
+    payload = _oracle_payload(expr, to, capsys)
+    assert payload["oracle"] == pytest.approx(want, rel=rel)
+    assert payload["discrepancy"] == pytest.approx(
+        abs(payload["value"]["re"] - payload["oracle"]), abs=1e-15
+    )
+
+
+def test_oracle_is_independent_of_integrand_folding(monkeypatch, capsys):
+    fold = cli._compile_integrand
+
+    def doubled(e, order):
+        st = fold(e, order)
+        st.coeff *= 2.0
+        return st
+
+    monkeypatch.setattr(cli, "_compile_integrand", doubled)
+    payload = _oracle_payload("1/(1+x^3)", "inf", capsys)
+    assert payload["discrepancy"] > 0.1
+
+
+def _count_calls(monkeypatch, modules, name):
+    calls = []
+    for mod in modules:
+        real = getattr(mod, name)
+
+        def counted(*a, _real=real, **kw):
+            calls.append(a)
+            return _real(*a, **kw)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "expr, to",
+    [("arcsin(x)", "1"), ("x^(1/2)*arctan((1/2)*x^2)", "1"),
+     ("x*sqrt(1-(1/2)*x^3)", "1"), ("1/(1+x^3)", "inf")],
+)
+def test_elementary_oracle_runs_no_series(expr, to, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, (cli, integrate), "eval_series")
+    _oracle_payload(expr, to, capsys)
+    # at most the boundary value F(1); no quadrature node sums a series
+    assert len(calls) <= 1
+
+
+def test_series_node_runs_the_engine_per_node(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, (cli, integrate), "eval_series")
+    _oracle_payload("x*2F1(1/2,1/2;3/2;x^2)", "1", capsys)
+    assert len(calls) > 20
+
+
+def test_halfline_integral_is_computed_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, (cli,), "definite_0_to_inf")
+    payload = _oracle_payload("x^(-1/2)/(1+3*x)^(3/4)", "inf", capsys)
+    assert payload["closed_form"] is not None
+    assert len(calls) == 1
+
+
+def test_oracle_refuses_imaginary_literal(capsys):
+    argv = ["integrate", "i*x/(1+x^2)^2", "--to", "inf"]
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"]["im"] == pytest.approx(0.5, abs=1e-12)
+    code, _, err = run_cli(argv + ["--oracle"], capsys)
+    assert code == 1
+    assert "imaginary" in err
+
+
+def test_oracle_trace_and_halfline_skip_unchanged(capsys):
+    payload = _oracle_payload("1/(1+x^2)", "1", capsys)
+    assert payload["trace"][-1] == "oracle: quadrature on [0, 1]"
+    payload = _oracle_payload("1/(1+x^3)", "inf", capsys)
+    assert payload["trace"][-1] == "oracle: quadrature on [0, oo)"
+    # a 4F3 body has no continuation past the unit disk for quadrature
+    payload = _oracle_payload(
+        "x^(-2/5)*4F3(1/5,2/5,3/5,4/5;1/2,3/4,5/4;-3125/128*x^4)", "inf", capsys
+    )
+    assert payload["trace"][-1] == (
+        "oracle skipped: series body not evaluable beyond the unit disk"
+    )
+    assert payload["oracle"] is None and payload["discrepancy"] is None
+
+
 # ---------------------------------------------------------------------------
 # verify and catalog commands
 
@@ -408,12 +539,13 @@ def test_json_schema_is_uniform(argv, capsys):
             assert set(item) == {"re", "im"}
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hypint", "eval", "sqrt(4)"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("value = 2")

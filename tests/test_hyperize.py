@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma
 
 from hypint.hyperize import (
     CoeffStream,
@@ -184,6 +185,42 @@ def test_weight_ratio_is_exact_pochhammer_quotient():
     h = hypize(f, 0.35, 1.65)
     for k in range(51):
         assert h.coeff(k) == pochhammer(0.35, k) / pochhammer(1.65, k)
+
+
+def _lgamma_weight(a, c, k):
+    # (a)_k/(c)_k from log-Gamma, with no Pochhammer product formed
+    return math.exp(
+        math.lgamma(a + k) - math.lgamma(a) - math.lgamma(c + k) + math.lgamma(c)
+    )
+
+
+def test_weights_stay_finite_past_pochhammer_overflow():
+    # (0.6)_k and (1.3)_k each leave the double range near k = 171
+    h = hypize(geometric_stream(), 0.6, 1.3)
+    for k in range(170, 1001):
+        want = _lgamma_weight(0.6, 1.3, k)
+        assert h.coeff(k).imag == 0.0
+        assert h.coeff(k).real == pytest.approx(want, rel=1e-10)
+
+
+def test_evaluate_near_the_radius_with_long_weights():
+    # 2F1(0.6, 1; 1.3; 0.99) needs about 3000 terms
+    x = 0.99
+    want = math.fsum(_lgamma_weight(0.6, 1.3, k) * x**k for k in range(20000))
+    got = hypize(geometric_stream(), 0.6, 1.3).evaluate(x)
+    assert got.real == pytest.approx(want, rel=1e-9)
+
+
+def test_jet_weight_past_overflow_carries_digamma_difference():
+    # d/da (a)_k/(c)_k = (a)_k/(c)_k * (psi(a+k) - psi(a))
+    k = 200
+    h = hypize(geometric_stream(), 0.6 + eps(1), 1.3)
+    w = _lgamma_weight(0.6, 1.3, k)
+    got = h.coeff(k)
+    assert extract(0, got).real == pytest.approx(w, rel=1e-10)
+    assert extract(1, got).real == pytest.approx(
+        w * (digamma(0.6 + k) - digamma(0.6)), rel=1e-10
+    )
 
 
 def test_jet_parameters_reach_the_coefficients():

@@ -32,12 +32,13 @@ def test_catalan_literal_against_alternating_series():
     assert abs(s - CATALAN) < 5e-13
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(src_env):
     # quad_finite imports it on first use; a fresh interpreter shows
     # whether `import hypint` pulled it in
     code = "import sys, hypint; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
