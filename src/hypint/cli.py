@@ -1028,8 +1028,13 @@ def _split_method(method: str) -> List[str]:
     return parts
 
 
-def _halfline_closed_form(spec: IntegrandSpec, value: float) -> Optional[str]:
-    """The integral `value` as a Gamma product, when the product matches it."""
+def _halfline_closed_form(
+    spec: IntegrandSpec, value: float, coeff: complex
+) -> Optional[str]:
+    """coeff times the integral `value` of `spec`, as a Gamma product.
+
+    None when the product does not match `value`.
+    """
     body = spec.body
     if not isinstance(body, PFQSpec) or body.order:
         return None
@@ -1069,6 +1074,8 @@ def _halfline_closed_form(spec: IntegrandSpec, value: float) -> Optional[str]:
     pieces = "".join("Gamma(%s)" % s for s in num)
     denom = "".join("Gamma(%s)" % s for s in den if s != "1")
     factors = []
+    if coeff != 1:
+        factors.append(_fmt_coeff(coeff))
     if form.prefactor_coeff != 1:
         factors.append(str(form.prefactor_coeff))
     if pieces:
@@ -1076,6 +1083,16 @@ def _halfline_closed_form(spec: IntegrandSpec, value: float) -> Optional[str]:
     if scale_mag != 1.0:
         factors.append("%g^(-%s)" % (scale_mag, u))
     return " * ".join(factors) or "1"
+
+
+def _fmt_coeff(c: complex) -> str:
+    """A constant factor: rational when real, i-suffixed when imaginary."""
+    if c.imag == 0.0:
+        return _fmt_gamma_arg(c)
+    if c.real == 0.0:
+        mag = _fmt_gamma_arg(complex(c.imag))
+        return {"1": "i", "-1": "-i"}.get(mag, mag + "*i")
+    return "(%s)" % _fmt_complex(c)
 
 
 def _fmt_gamma_arg(z: complex) -> str:
@@ -1215,7 +1232,7 @@ def _cmd_integrate(args) -> int:
         closed = None
     else:
         res = definite_0_to_inf(spec, verify=False)
-        closed = _halfline_closed_form(spec, res.value.value.real)
+        closed = _halfline_closed_form(spec, res.value.value.real, st.coeff)
     trace.extend(_split_method(res.method))
     raw = res.value
     if st.extract_k:

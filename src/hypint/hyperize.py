@@ -123,9 +123,6 @@ class CoeffStream:
                 self._cache.append(self._fn(len(self._cache)))
         return self._cache[k]
 
-    def prefix(self, count: int) -> list:
-        return [self.coeff(k) for k in range(count)]
-
     def evaluate(self, z: Scalar, tol: float = 1e-12, cap: int = STREAM_CAP,
                  consecutive: int = 4):
         """Sum the series at z inside the open disk of convergence.

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, as_jet
+from .jets import DEFAULT_ORDER, Jet, _jet, as_jet
 from .numkernel import (
     _is_nonpositive_integer,
     gamma_jet,
@@ -250,8 +250,8 @@ class _ScalarSum:
 
     __slots__ = ("re", "cre", "im", "cim")
 
-    def __init__(self):
-        self.re = self.cre = self.im = self.cim = 0.0
+    def __init__(self, re=0.0, cre=0.0, im=0.0, cim=0.0):
+        self.re, self.cre, self.im, self.cim = re, cre, im, cim
 
     def add(self, z: complex):
         # the compensation step inlined for both parts: this runs once per
@@ -315,10 +315,11 @@ class _Terms:
     any, where b + j lies within 1/2 of zero.  There the log would cancel
     catastrophically, and at a zero base, as in 2F1(eps, eps; 1; z), it
     does not exist.  With scalar parameters only, L and M stay trivial
-    and a block is t * cumprod(ratio).
+    and a block is t * cumprod(ratio); `scalar` says so up front.
     """
 
-    def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool):
+    def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool,
+                 scalar: bool):
         dtype = float if real else complex
         cast = (lambda v: v.real) if real else complex
         width = spec.order + 1
@@ -331,7 +332,7 @@ class _Terms:
             for p in params:
                 b = cast(p.value)
                 logs = j0 = None
-                if not p.is_scalar:
+                if not (scalar or p.is_scalar):
                     jet = np.array([cast(c) for c in p.coeffs], dtype)
                     nil = jet.copy()
                     nil[0] = 0.0
@@ -433,15 +434,28 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     small = False
     t = 1.0 + 0j
     n = 1
-    if spec.all_scalar:
+    scalar = spec.all_scalar
+    # real inputs keep the terms in float, at a fraction of the cost of
+    # complex: with zero imaginary parts complex * and / give the same
+    # real parts, so the sums, the stop index and the overflow index agree
+    real = z.imag == 0.0 and all(
+        x.imag == 0.0 for p in (*spec.upper, *spec.lower) for x in p.coeffs
+    )
+    if scalar:
         a = [p.value for p in spec.upper]
         c = [p.value for p in spec.lower]
-        s0 = acc[0]
+        w, isfinite = z, cmath.isfinite
+        if real:
+            a = [v.real for v in a]
+            c = [v.real for v in c]
+            w, isfinite, t = z.real, math.isfinite, 1.0
         n = min(_FIRST_CHECKPOINT, limit)
-        isfinite = cmath.isfinite
+        # the Neumaier state of acc[0], inlined: this runs once per term
+        # on every short series
+        re, cre, im, cim = 1.0, 0.0, 0.0, 0.0
         for k in range(1, n):
             j = k - 1
-            num = z
+            num = w
             for ai in a:
                 num *= ai + j
             den = float(k)
@@ -450,23 +464,30 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
             t = t * num / den
             if not isfinite(t):
                 raise _overflow(spec, z, k)
-            s0.add(t)
+            x = t.real
+            u = re + x
+            cre += (re - u) + x if abs(re) >= abs(x) else (x - u) + re
+            re = u
+            if not real:
+                x = t.imag
+                u = im + x
+                cim += (im - u) + x if abs(im) >= abs(x) else (x - u) + im
+                im = u
             if tol is not None:
-                if abs(t) <= tol * max(1.0, abs(s0.value())):
+                size = abs(re + cre) if real else abs(complex(re + cre, im + cim))
+                if abs(t) <= tol * max(1.0, size):
                     if small:
+                        acc[0] = _ScalarSum(re, cre, im, cim)
                         yield k + 1, _sums(acc, spec, z, k), True
                         return
                     small = True
                 else:
                     small = False
+        acc[0] = _ScalarSum(re, cre, im, cim)
     yield n, _sums(acc, spec, z, n - 1), False
     if n >= limit:
         return
-    # real inputs keep the blocks in float64, at half the cost of complex
-    real = z.imag == 0.0 and all(
-        x.imag == 0.0 for p in (*spec.upper, *spec.lower) for x in p.coeffs
-    )
-    terms = _Terms(spec, z, t, real)
+    terms = _Terms(spec, z, t, real, scalar)
     while n < limit:
         if n < _FIRST_CHECKPOINT:
             m = _FIRST_CHECKPOINT - n
@@ -476,7 +497,13 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             blk = terms.block(n - 1, m)
             bad = None
-            if not np.isfinite(blk).all():
+            if blk.shape[1] == 1:
+                # the ratios are finite, so a non-finite term stays
+                # non-finite through cumprod: the last term tells
+                if not cmath.isfinite(blk[-1, 0]):
+                    bad = int(np.argmin(np.isfinite(blk[:, 0])))
+                    blk = blk[:bad]
+            elif not np.isfinite(blk).all():
                 bad = int(np.argmin(np.isfinite(blk).all(axis=1)))
                 blk = blk[:bad]
             stop = None
@@ -521,7 +548,7 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
 def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     for _, s, stopped in _partials(spec, z, cap + 1, tol):
         if stopped:
-            return Jet(s)
+            return _jet(s)
     raise ConvergenceError(
         "no convergence in %d terms for %s at %r" % (cap, spec.describe(), z)
     )
@@ -530,7 +557,7 @@ def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
 def _sum_terminating(spec: PFQSpec, z: complex) -> Jet:
     for _, s, _ in _partials(spec, z, spec.terminating_degree() + 1):
         pass
-    return Jet(s)
+    return _jet(s)
 
 
 def _wynn_epsilon(seq: Sequence[complex]) -> complex:
@@ -576,7 +603,7 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     while 2 * limit <= cap + 1:
         limit *= 2
     partials = (
-        Jet(s)
+        _jet(s)
         for n, s, _ in _partials(spec, z, limit)
         # 64 * 2^j: a checkpoint
         if n >= _FIRST_CHECKPOINT and not n & (n - 1)
@@ -591,7 +618,7 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
                 _wynn_epsilon([s.coeffs[m] for s in snapshots])
                 for m in range(width)
             ]
-            est = Jet(tuple(cols))
+            est = _jet(tuple(cols))
             if prev_est is not None:
                 scale = max(1.0, _jet_norm(est))
                 if _jet_norm(est - prev_est) <= tol * scale:
@@ -628,7 +655,7 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
             moved = PFQSpec((b - a,), (b,), order=spec.order)
             inner = _eval_argument(moved, -z, tol)
             half = cmath.exp(z / 2.0)
-            return Jet(tuple(c * half * half for c in inner.coeffs))
+            return _jet(tuple([c * half * half for c in inner.coeffs]))
         return _direct_sum(spec, z, tol, TERM_CAP)
     # unit disk
     az = abs(z)

@@ -10,6 +10,7 @@ derivatives of series are taken everywhere downstream.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -58,31 +59,46 @@ class Jet:
         return "Jet(%s)" % ", ".join(_fmt(c) for c in self.coeffs)
 
     # -- ring operations ------------------------------------------------
+    #
+    # A plain int/float/complex operand is not promoted to a jet: each
+    # fast path does the promoted arithmetic with its zero products left
+    # out.  The "+ 0j" keeps the promoted sum's sign of zero.
 
     def __add__(self, other) -> "Jet":
+        c = self.coeffs
+        if type(other) in _PLAIN:
+            return _jet((c[0] + other,) + tuple([x + 0j for x in c[1:]]))
         o = _coerce(other, self.order)
         if o is NotImplemented:
             return NotImplemented
-        return Jet(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _jet(tuple(map(operator.add, c, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(tuple(-a for a in self.coeffs))
+        return _jet(tuple([-a for a in self.coeffs]))
 
     def __sub__(self, other) -> "Jet":
+        c = self.coeffs
+        if type(other) in _PLAIN:
+            return _jet((c[0] - other,) + c[1:])
         o = _coerce(other, self.order)
         if o is NotImplemented:
             return NotImplemented
-        return Jet(tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _jet(tuple(map(operator.sub, c, o.coeffs)))
 
     def __rsub__(self, other) -> "Jet":
+        c = self.coeffs
+        if type(other) in _PLAIN:
+            return _jet((other - c[0],) + tuple([0j - x for x in c[1:]]))
         o = _coerce(other, self.order)
         if o is NotImplemented:
             return NotImplemented
         return o - self
 
     def __mul__(self, other) -> "Jet":
+        if type(other) in _PLAIN:
+            return _scaled(self.coeffs, other)
         o = _coerce(other, self.order)
         if o is NotImplemented:
             return NotImplemented
@@ -91,12 +107,19 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
+        if type(other) in _PLAIN:
+            if other == 0:
+                raise ZeroDivisionError(_NO_INVERSE)
+            # the promoted route multiplies by the inverse jet
+            return _scaled(self.coeffs, 1.0 / complex(other))
         o = _coerce(other, self.order)
         if o is NotImplemented:
             return NotImplemented
         return jet_mul(self, jet_inverse(o))
 
     def __rtruediv__(self, other) -> "Jet":
+        if type(other) in _PLAIN:
+            return _scaled(jet_inverse(self).coeffs, other)
         o = _coerce(other, self.order)
         if o is NotImplemented:
             return NotImplemented
@@ -117,6 +140,23 @@ class Jet:
 
     def __hash__(self):
         return hash(self.coeffs)
+
+
+_PLAIN = frozenset((int, float, complex))
+_NO_INVERSE = "jet with zero constant part has no inverse"
+_new = object.__new__
+_set_coeffs = Jet.__dict__["coeffs"].__set__
+
+
+def _jet(coeffs: tuple) -> Jet:
+    """Trusted construction: `coeffs` is a non-empty tuple of complex."""
+    j = _new(Jet)
+    _set_coeffs(j, coeffs)
+    return j
+
+
+def _scaled(coeffs: tuple, s: Scalar) -> Jet:
+    return _jet(tuple([x * s + 0j for x in coeffs]))
 
 
 def _fmt(c: complex) -> str:
@@ -144,37 +184,44 @@ def as_jet(x: Scalar | Jet, order: int = DEFAULT_ORDER) -> Jet:
         if x.order != order:
             raise ValueError("jet already has order %d, wanted %d" % (x.order, order))
         return x
-    return Jet((complex(x),) + (0j,) * order)
+    return _jet((complex(x),) + (0j,) * order)
 
 
 def eps(order: int = DEFAULT_ORDER, scale: Scalar = 1) -> Jet:
     """The perturbation itself (optionally scaled): scale * e."""
     if order < 1:
         raise ValueError("order must be >= 1 to carry a perturbation")
-    return Jet((0j, complex(scale)) + (0j,) * (order - 1))
+    return _jet((0j, complex(scale)) + (0j,) * (order - 1))
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at the common order."""
-    if a.order != b.order:
-        raise ValueError("mixed jet orders %d and %d" % (a.order, b.order))
     ac, bc = a.coeffs, b.coeffs
     n = len(ac)
-    return Jet(
-        tuple(sum(ac[i] * bc[m - i] for i in range(m + 1)) for m in range(n))
+    if n != len(bc):
+        raise ValueError("mixed jet orders %d and %d" % (a.order, b.order))
+    if n == 1:
+        return _jet((ac[0] * bc[0] + 0j,))
+    # coefficient m is sum(ac[i] * bc[m - i]), summed in order of i
+    rb = bc[::-1]
+    mul = operator.mul
+    return _jet(
+        tuple([sum(map(mul, ac[: m + 1], rb[n - 1 - m :])) for m in range(n)])
     )
 
 
 def jet_inverse(a: Jet) -> Jet:
     """Multiplicative inverse; needs an invertible constant part."""
-    a0 = a.coeffs[0]
+    ac = a.coeffs
+    a0 = ac[0]
     if a0 == 0:
-        raise ZeroDivisionError("jet with zero constant part has no inverse")
-    n = a.order + 1
-    out = [1.0 / a0] + [0j] * (n - 1)
-    for m in range(1, n):
-        out[m] = -sum(a.coeffs[j] * out[m - j] for j in range(1, m + 1)) / a0
-    return Jet(tuple(out))
+        raise ZeroDivisionError(_NO_INVERSE)
+    out = [1.0 / a0]
+    mul = operator.mul
+    for m in range(1, len(ac)):
+        # sum over j = 1..m of ac[j] * out[m - j]
+        out.append(-sum(map(mul, ac[1 : m + 1], out[::-1])) / a0)
+    return _jet(tuple(out))
 
 
 def jet_log(a: Jet) -> Jet:
@@ -194,7 +241,7 @@ def jet_log(a: Jet) -> Jet:
         for i in range(m, n):
             out[i] += sign * upow[i] / m
         sign = -sign
-    return Jet(tuple(out))
+    return _jet(tuple(out))
 
 
 def jet_exp(a: Jet) -> Jet:
@@ -213,7 +260,7 @@ def jet_exp(a: Jet) -> Jet:
         fact *= m
         for i in range(m, n):
             out[i] += upow[i] / fact
-    return Jet(tuple(scale * c for c in out))
+    return _jet(tuple([scale * c for c in out]))
 
 
 def jet_pow(a: Jet, p: Scalar | Jet) -> Jet:
@@ -236,12 +283,13 @@ def jet_pow(a: Jet, p: Scalar | Jet) -> Jet:
         while k:
             if k & 1:
                 result = jet_mul(result, base)
-            base = jet_mul(base, base)
             k >>= 1
+            if k:
+                base = jet_mul(base, base)
         return result
     if a.coeffs[0] == 0:
         raise ValueError("jet_pow with non-integer exponent needs a nonzero base")
-    return jet_exp(jet_log(a) * as_jet(p, a.order))
+    return jet_exp(jet_log(a) * pc)
 
 
 def extract(k: int, a: Jet) -> complex:
@@ -253,11 +301,9 @@ def extract(k: int, a: Jet) -> complex:
 
 def _nilpotent_mul(acc: list[complex], u: list[complex]) -> list[complex]:
     # acc * u where u has zero constant part; plain truncated convolution.
-    n = len(acc)
-    out = [0j] * n
-    for m in range(1, n):
-        out[m] = sum(acc[i] * u[m - i] for i in range(m))
-    return out
+    mul = operator.mul
+    # out[m] is sum over i < m of acc[i] * u[m - i]
+    return [0j] + [sum(map(mul, acc[:m], u[m:0:-1])) for m in range(1, len(acc))]
 
 
 def _cexp(z: complex) -> complex:

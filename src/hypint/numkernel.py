@@ -10,12 +10,11 @@ import cmath
 import math
 from typing import Union
 
-from .jets import DEFAULT_ORDER, Jet, as_jet, jet_exp, jet_mul
+from .jets import DEFAULT_ORDER, Jet, _jet, as_jet, jet_exp, jet_inverse, jet_mul
 
 __all__ = [
     "PoleError",
     "gamma",
-    "loggamma",
     "digamma",
     "trigamma",
     "polygamma",
@@ -100,15 +99,6 @@ def gamma(z: Scalar) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * a
 
 
-def loggamma(z: Scalar) -> complex:
-    """log of the principal Gamma value (imaginary part in (-pi, pi]).
-
-    Not the analytically continued log-Gamma; adequate for ratio tests
-    and magnitude bookkeeping, which is all the engine needs.
-    """
-    return cmath.log(gamma(z))
-
-
 def polygamma(n: int, z: Scalar) -> complex:
     """psi^(n)(z): digamma and its derivatives.
 
@@ -123,12 +113,30 @@ def polygamma(n: int, z: Scalar) -> complex:
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(z, "polygamma(%d)" % n)
-    acc = 0j
-    sign = (-1.0) ** (n + 1)
-    nfact = math.factorial(n)
+    return _polygammas(z, (n,))[0]
+
+
+def _polygammas(z: complex, orders) -> list:
+    """[psi^(n)(z) for n in orders] from one sweep of the recurrence.
+
+    z is off the poles and the orders ascend from 0 or more; every order
+    gets the same arithmetic as a sweep of its own.
+    """
+    orders = tuple(orders)
+    if orders and orders[-1] > 30:
+        # the Bernoulli tail truncated at B_26 is not accurate beyond
+        raise ValueError("polygamma order capped at 30")
+    acc = [0j] * len(orders)
+    # sign * n!, the numerator of each recurrence step
+    lead = [(-1.0) ** (n + 1) * math.factorial(n) for n in orders]
     while z.real < _ASYMPTOTIC_RE:
-        acc += sign * nfact / z ** (n + 1)
+        acc = [s + c / z ** (n + 1) for s, c, n in zip(acc, lead, orders)]
         z += 1.0
+    return [s + _polygamma_tail(n, z) for s, n in zip(acc, orders)]
+
+
+def _polygamma_tail(n: int, z: complex) -> complex:
+    """The Bernoulli series for psi^(n)(z), for Re z >= _ASYMPTOTIC_RE."""
     if n == 0:
         s = cmath.log(z) - 0.5 / z
         zpow = 1.0 / (z * z)
@@ -136,18 +144,19 @@ def polygamma(n: int, z: Scalar) -> complex:
         for k in range(1, 14):
             s -= _BERN2K[k - 1] / (2 * k) * term
             term *= zpow
-    else:
-        w = 1.0 / z
-        s = math.factorial(n - 1) * w**n + nfact / 2.0 * w ** (n + 1)
-        term = w ** (n + 2)
-        for k in range(1, 14):
-            coef = _BERN2K[k - 1] * math.factorial(2 * k + n - 1) / math.factorial(
-                2 * k
-            )
-            s += coef * term
-            term *= w * w
-        s *= (-1.0) ** (n - 1)
-    return acc + s
+        return s
+    nfact = math.factorial(n)
+    w = 1.0 / z
+    s = math.factorial(n - 1) * w**n + nfact / 2.0 * w ** (n + 1)
+    term = w ** (n + 2)
+    for k in range(1, 14):
+        coef = _BERN2K[k - 1] * math.factorial(2 * k + n - 1) / math.factorial(
+            2 * k
+        )
+        s += coef * term
+        term *= w * w
+    s *= (-1.0) ** (n - 1)
+    return s
 
 
 def digamma(z: Scalar) -> complex:
@@ -172,14 +181,15 @@ def gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     if z.is_scalar:
         return as_jet(gamma(z0), z.order)
     n = z.order
-    delta = Jet((0j,) + z.coeffs[1:])
+    delta = _jet((0j,) + z.coeffs[1:])
+    psi = _polygammas(z0, range(n))
     expo = as_jet(0, n)
     dpow = as_jet(1, n)
     fact = 1.0
     for m in range(1, n + 1):
         dpow = jet_mul(dpow, delta)
         fact *= m
-        expo = expo + dpow * (polygamma(m - 1, z0) / fact)
+        expo = expo + dpow * (psi[m - 1] / fact)
     return jet_exp(expo) * gamma(z0)
 
 
@@ -191,14 +201,15 @@ def digamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     if _is_nonpositive_integer(z0):
         raise PoleError(z0, "digamma_jet")
     n = z.order
-    delta = Jet((0j,) + z.coeffs[1:])
-    out = as_jet(polygamma(0, z0), n)
+    delta = _jet((0j,) + z.coeffs[1:])
+    psi = _polygammas(z0, range(n + 1))
+    out = as_jet(psi[0], n)
     dpow = as_jet(1, n)
     fact = 1.0
     for m in range(1, n + 1):
         dpow = jet_mul(dpow, delta)
         fact *= m
-        out = out + dpow * (polygamma(m, z0) / fact)
+        out = out + dpow * (psi[m] / fact)
     return out
 
 
@@ -213,10 +224,10 @@ def reciprocal_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
         z = as_jet(z, order)
     z0 = z.coeffs[0]
     if not _is_nonpositive_integer(z0):
-        return jet_mul(as_jet(1, z.order), gamma_jet(z)) ** -1
+        return jet_inverse(gamma_jet(z))
     n = z.order
     # sin(pi z) jet around the base
-    delta = Jet((0j,) + z.coeffs[1:])
+    delta = _jet((0j,) + z.coeffs[1:])
     s0 = cmath.sin(math.pi * z0)
     c0 = cmath.cos(math.pi * z0)
     sin_jet = as_jet(0, n)

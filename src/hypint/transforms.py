@@ -510,7 +510,7 @@ def _kummer_lhs(p):
 
 
 def _kummer_rhs(p):
-    return kummer_at_minus1(p["a"], p["b"]).value
+    return kummer_at_minus1(as_jet(p["a"], 0), as_jet(p["b"], 0)).value
 
 
 def _kummer_sample(rng):
@@ -523,7 +523,7 @@ def _half_lhs(p):
 
 
 def _half_rhs(p):
-    return sum_at_half(p["a"], p["b"]).value
+    return sum_at_half(as_jet(p["a"], 0), as_jet(p["b"], 0)).value
 
 
 def _parity_lhs(p):

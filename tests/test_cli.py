@@ -273,6 +273,16 @@ def test_integrate_cubic_halfline(capsys):
     assert payload["oracle"] is not None
 
 
+def test_closed_form_carries_the_constant_coefficient(capsys):
+    code, out, _ = run_cli(["integrate", "2/(1+x^3)", "--to", "inf", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"]["re"] == pytest.approx(
+        4.0 * math.pi / (3.0 * math.sqrt(3.0)), rel=1e-12
+    )
+    assert payload["closed_form"] == "2 * Gamma(4/3)Gamma(2/3)"
+
+
 def test_integrate_monomial_unit_interval(capsys):
     code, out, _ = run_cli(["integrate", "x^2", "--to", "1", "--json"], capsys)
     assert code == 0
@@ -314,6 +324,9 @@ def test_integrate_gaussian_like_power(capsys):
         ("x/(1+x^2)^2", "inf", "1/2"),
         ("1/(1+x)^2", "inf", "1"),
         ("1/(1+2*x)^2", "inf", "2^(-1)"),
+        # the integrand's constant coefficient leads the product
+        ("i*x/(1+x^2)^2", "inf", "i * 1/2"),
+        ("1/(2+2*x)^2", "inf", "1/4"),
     ],
 )
 def test_closed_form_without_gamma_factors(expr, to, want, capsys):

@@ -22,6 +22,7 @@ from hypint.hypseries import (
     TermOverflowError,
     _accelerated_sum,
     _direct_sum,
+    _partials,
     cancel_parameters,
     classify,
     eval_at_one,
@@ -283,6 +284,108 @@ def _exp_stop(x: Fraction, tol: Fraction):
             small = True
         else:
             small = False
+
+
+def _pfq_stop(upper, lower, x: Fraction, tol: Fraction):
+    """Exact term count where the direct rule stops on pFq(upper; lower; x)."""
+    term = total = Fraction(1)
+    small, k = False, 0
+    while True:
+        k += 1
+        ratio = x / k
+        for a in upper:
+            ratio *= a + k - 1
+        for c in lower:
+            ratio /= c + k - 1
+        term *= ratio
+        total += term
+        if abs(term) <= tol * max(1, abs(total)):
+            if small:
+                return k + 1, total
+            small = True
+        else:
+            small = False
+
+
+def _complex_head(upper, lower, z: complex, tol: float):
+    """(count, sum) of the head recurrence in complex arithmetic, each
+    part summed with Neumaier compensation: the reference that real
+    series, summed in float, must match bit for bit."""
+
+    def add(s, c, x):
+        t = s + x
+        return t, c + ((s - t) + x if abs(s) >= abs(x) else (x - t) + s)
+
+    t = 1.0 + 0j
+    re, cre, im, cim = 1.0, 0.0, 0.0, 0.0
+    small = False
+    for k in range(1, 64):
+        num, den = z, float(k)
+        for a in upper:
+            num *= complex(a) + (k - 1)
+        for c in lower:
+            den *= complex(c) + (k - 1)
+        t = t * num / den
+        re, cre = add(re, cre, t.real)
+        im, cim = add(im, cim, t.imag)
+        total = complex(re + cre, im + cim)
+        if abs(t) <= tol * max(1.0, abs(total)):
+            if small:
+                return k + 1, total
+            small = True
+        else:
+            small = False
+    raise AssertionError("no stop in the head")
+
+
+@pytest.mark.parametrize(
+    "upper, lower, x",
+    [((0.3, 0.7), (1.4,), 0.5), ((), (1.5,), -20.0), ((1.25,), (0.5, 2.75), 6.5)],
+)
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_real_head_stops_where_the_exact_sum_does(upper, lower, x, tol):
+    # real series run the head recurrence in float; the stop index and
+    # the sum must be those of the exact rational terms
+    count, total = _pfq_stop(
+        [Fraction(a) for a in upper], [Fraction(c) for c in lower],
+        Fraction(x), Fraction(tol),
+    )
+    assert count < 64  # the head route
+    *_, (n, sums, stopped) = _partials(
+        PFQSpec(upper, lower, order=0), complex(x), TERM_CAP + 1, tol
+    )
+    assert stopped and n == count
+    assert sums[0].real == pytest.approx(float(total), rel=1e-13)
+    assert (n, sums[0]) == _complex_head(upper, lower, complex(x), tol)
+
+
+@pytest.mark.parametrize("x", [1e30, -1e30])
+def test_real_head_overflow_names_the_first_bad_term(x):
+    # 0F1(;3/2;x): log10 |t_k| is 286.3 at k = 10 and 314.2 at k = 11,
+    # far from the top of the range on both sides, so the index is exact
+    top = math.log(sys.float_info.max)
+    lt, k = 0.0, 0
+    while lt <= top:
+        k += 1
+        lt += math.log(abs(x) / (k * (0.5 + k)))
+    assert k == 11
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((), (1.5,), order=0), x)
+    assert err.value.k == k
+
+
+def test_scalar_block_overflow_names_the_first_bad_term():
+    # the terminating 2F1(-400, 1; 1; 1000) has no stop rule, and its
+    # terms leave the range past the 64-term head, inside a block
+    top = math.log(sys.float_info.max)
+    lt, k = 0.0, 0
+    while lt <= top:
+        k += 1
+        lt += math.log((400 - k + 1) * 1000.0 / k)
+    assert k > 64
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((-400.0, 1.0), (1.0,), order=0), 1000.0)
+    assert abs(err.value.k - k) <= 1
 
 
 @pytest.mark.parametrize("x, last", [(31.5, 63), (32.5, 64), (33.25, 65)])

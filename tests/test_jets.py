@@ -1,6 +1,8 @@
 import cmath
 import math
+import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +47,16 @@ class TestBasics:
     def test_mixed_orders_rejected(self):
         with pytest.raises(ValueError, match="mixed jet orders"):
             jet_mul(eps(3), eps(2))
-        with pytest.raises(ValueError):
-            eps(3) + eps(4)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="mixed jet orders"):
+                op(1 + eps(3), 1 + eps(4))
+
+    def test_public_constructor_coerces_and_validates(self):
+        j = Jet((1, 2))
+        assert j.coeffs == (1 + 0j, 2 + 0j)
+        assert all(type(c) is complex for c in j.coeffs)
+        with pytest.raises(ValueError, match="at least the constant"):
+            Jet(())
 
 
 class TestPow:
@@ -153,6 +163,44 @@ def test_mul_matches_polynomial_convolution_exactly(ac, bc):
             conv[i + j] += ac[i] * bc[j]
     got = jet_mul(Jet(tuple(ac)), Jet(tuple(bc)))
     assert got == Jet(tuple(conv))
+
+
+# zero or at least 1e-3 in modulus, so that inverses stay finite
+moderate = st.floats(-100.0, 100.0).filter(lambda v: v == 0 or abs(v) >= 1e-3)
+small_complex = st.builds(complex, moderate, moderate)
+plain_or_not = st.one_of(
+    st.integers(-1000, 1000),
+    moderate,
+    small_complex,
+    st.booleans(),
+    moderate.map(np.float64),
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(small_complex, min_size=n, max_size=n)
+    ),
+    plain_or_not,
+    st.sampled_from([operator.add, operator.sub, operator.mul, operator.truediv]),
+)
+@settings(max_examples=500, deadline=None)
+def test_scalar_operand_matches_the_promoted_jet(coeffs, s, op):
+    # int/float/complex operands skip promotion; the result must be the
+    # promoted computation op(j, as_jet(s)) on either side
+    j = Jet(tuple(coeffs))
+    promoted = as_jet(s, j.order)
+    for got, want in ((lambda: op(j, s), lambda: op(j, promoted)),
+                      (lambda: op(s, j), lambda: op(promoted, j))):
+        try:
+            expected = want()
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                got()
+            continue
+        result = got()
+        assert result == expected
+        assert all(type(c) is complex for c in result.coeffs)
 
 
 @given(st.integers(-50, 50).filter(lambda k: k != 0))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypint.jets import Jet, as_jet, eps, extract
 from hypint.numkernel import (
     PoleError,
+    _polygammas,
     digamma,
     digamma_jet,
     gamma,
@@ -157,6 +158,20 @@ class TestPolygamma:
         lhs = polygamma(1, z + 1)
         rhs = polygamma(1, z) - 1.0 / z**2
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("z", [0.3, 2.5, 17.25, 40.0, -3.7, 2.5 - 1.5j])
+    def test_one_sweep_equals_each_order_alone(self, z):
+        # Gamma jets take every order from one sweep of the recurrence;
+        # each order must get exactly the arithmetic of its own call
+        assert _polygammas(complex(z), range(7)) == [
+            polygamma(n, z) for n in range(7)
+        ]
+
+    @pytest.mark.parametrize("z0", [0.3, 17.25, -3.7, 2.5 - 1.5j])
+    def test_digamma_jet_coefficients_are_scaled_polygammas(self, z0):
+        j = digamma_jet(z0 + eps(5))
+        for m in range(6):
+            assert extract(m, j) == polygamma(m, z0) / math.factorial(m)
 
 
 class TestGammaJet:
