@@ -836,6 +836,14 @@ def _collect(e: Expr, st: _Integrand, order: int) -> None:
         if binom is not None:
             _attach_binomial(binom, Fraction(-1), st)
             return
+        if _tree_order(e) == 0:
+            # a sum free of x and eps is a constant factor, folded the way
+            # `hypint eval` folds it
+            try:
+                st.coeff *= complex(_Evaluator(None, 0).eval(e))
+                return
+            except UsageError:  # the sum depends on x
+                pass
         raise ComputationError(
             "sums of terms cannot be integrated as one series; "
             "integrate the terms separately"
@@ -1002,30 +1010,6 @@ def _merge_body(st: _Integrand, body: PFQSpec) -> None:
 
 # ---------------------------------------------------------------------------
 # gamma-product rendering for the half-line closed form
-
-
-def _split_method(method: str) -> List[str]:
-    """Split the engine's step string on '; ' outside parentheses."""
-    parts: List[str] = []
-    cur: List[str] = []
-    depth = 0
-    i = 0
-    while i < len(method):
-        ch = method[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == ";" and depth == 0 and method[i : i + 2] == "; ":
-            parts.append("".join(cur))
-            cur = []
-            i += 2
-            continue
-        cur.append(ch)
-        i += 1
-    if cur:
-        parts.append("".join(cur))
-    return parts
 
 
 def _halfline_closed_form(
@@ -1233,7 +1217,7 @@ def _cmd_integrate(args) -> int:
     else:
         res = definite_0_to_inf(spec, verify=False)
         closed = _halfline_closed_form(spec, res.value.value.real, st.coeff)
-    trace.extend(_split_method(res.method))
+    trace.extend(res.steps)
     raw = res.value
     if st.extract_k:
         out_value = st.coeff * extract(st.extract_k, raw)

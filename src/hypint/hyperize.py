@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .jets import Jet, as_jet
+import numpy as np
+
+from .hypseries import _ScalarSum, _block_partials, _overflow
+from .jets import Jet, _jet, _magnitude, as_jet
 from .numkernel import _is_nonpositive_integer
 from .oracle import quad_finite
 
@@ -39,46 +42,6 @@ STREAM_CAP = 100_000
 # hypize rescales its running Pochhammer products by an exact power of two
 _RESCALE_AT = 2.0**512
 _RESCALE = 2.0**-512
-
-
-def _order_of(x: ParamLike) -> int:
-    return x.order if isinstance(x, Jet) else 0
-
-
-def _lift(x: ParamLike, order: int):
-    """Pad a jet (or embed a scalar) up to the requested order."""
-    if isinstance(x, Jet):
-        if x.order == order:
-            return x
-        if x.order > order:
-            raise ValueError("cannot lower a jet from order %d to %d" % (x.order, order))
-        return Jet(x.coeffs + (0j,) * (order - x.order))
-    if order == 0:
-        return complex(x)
-    return as_jet(x, order)
-
-
-def _mul(u, w):
-    n = max(_order_of(u), _order_of(w))
-    return _lift(u, n) * _lift(w, n)
-
-
-def _add(u, w):
-    n = max(_order_of(u), _order_of(w))
-    return _lift(u, n) + _lift(w, n)
-
-
-def _magnitude(x) -> float:
-    if isinstance(x, Jet):
-        return max(abs(c) for c in x.coeffs)
-    return abs(x)
-
-
-def _same_param(a: ParamLike, c: ParamLike) -> bool:
-    n = max(_order_of(a), _order_of(c))
-    if n == 0:
-        return complex(a) == complex(c)
-    return _lift(a, n) == _lift(c, n)
 
 
 class CoeffStream:
@@ -123,37 +86,37 @@ class CoeffStream:
                 self._cache.append(self._fn(len(self._cache)))
         return self._cache[k]
 
-    def evaluate(self, z: Scalar, tol: float = 1e-12, cap: int = STREAM_CAP,
-                 consecutive: int = 4):
+    def evaluate(self, z: Scalar, tol: float = 1e-12):
         """Sum the series at z inside the open disk of convergence.
 
-        Stops only after `consecutive` successive terms fall below tol
-        relative to the running sum: streams supported on every n-th
-        index interleave runs of exact zeros, and a single small term
-        must not end the sum early.  The default tolerates strides up
-        to 4.
+        Sums on the pFq block kernel, hypseries._block_partials.  Stops
+        only after 4 successive terms fall below tol relative to the
+        running sum: streams supported on every n-th index interleave
+        runs of exact zeros, and a single small term must not end the
+        sum early, so strides up to 4 are tolerated.  A non-finite term
+        or partial sum raises TermOverflowError.
         """
         z = complex(z)
         if abs(z) >= self.radius:
             raise ValueError(
                 "argument %s outside the open disk of radius %g" % (z, self.radius)
             )
-        acc = self.coeff(0)
+        first = self.coeff(0)
         if z == 0:
-            return acc
-        power = complex(1.0)
-        small = 0
-        for k in range(1, cap):
-            power *= z
-            term = _mul(self.coeff(k), power)
-            acc = _add(acc, term)
-            if _magnitude(term) <= tol * max(1.0, _magnitude(acc)):
-                small += 1
-                if small >= consecutive:
-                    return acc
-            else:
-                small = 0
-        raise ValueError("series at %s did not settle within %d terms" % (z, cap))
+            return first
+        jet = isinstance(first, Jet)
+        terms = _StreamTerms(self, z, first.order if jet else None)
+        acc = [_ScalarSum(c.real, 0.0, c.imag, 0.0)
+               for c in (first.coeffs if jet else (complex(first),))]
+        for _, s, stopped in _block_partials(
+            terms, acc, 1, STREAM_CAP, tol, 4, 0,
+            lambda k: _overflow(self.label, z, k),
+        ):
+            if stopped:
+                return _jet(s) if jet else s[0]
+        raise ValueError(
+            "series at %s did not settle within %d terms" % (z, STREAM_CAP)
+        )
 
     def estimate_radius(self, count: int = 200) -> float:
         """Ratio-test estimate of the radius from the first `count` coefficients.
@@ -187,6 +150,33 @@ class CoeffStream:
         return tail
 
 
+class _StreamTerms:
+    """The terms coeff(k) * z^k of a stream in complex numpy blocks.
+
+    The powers of z are one running product across blocks.  A jet
+    stream, of the order `order`, has one column per jet coefficient.
+    """
+
+    running = False  # a coefficient may be non-finite on its own
+
+    def __init__(self, f: CoeffStream, z: complex, order: Optional[int]):
+        self.f, self.z, self.power, self.order = f, z, 1.0 + 0j, order
+
+    def block(self, k0: int, m: int) -> np.ndarray:
+        """Terms k0+1 .. k0+m as the rows of an (m, columns) array."""
+        self.f.coeff(k0 + m)  # fills the cache up to the block's end
+        cs = self.f._cache[k0 + 1 : k0 + m + 1]
+        if self.order is None:
+            rows = np.array(cs, complex)[:, None]
+        else:
+            rows = np.array([as_jet(c, self.order).coeffs for c in cs])
+        w = np.full(m, self.z)
+        w[0] = self.power * self.z
+        powers = np.cumprod(w)
+        self.power = powers[-1]
+        return rows * powers[:, None]
+
+
 def _median(xs: list) -> float:
     ordered = sorted(xs)
     n = len(ordered)
@@ -212,17 +202,16 @@ def hypize(f: CoeffStream, a: ParamLike, c: ParamLike) -> CoeffStream:
     attempted.  The radius is untouched because (a)_k/(c)_k grows only
     polynomially in k.
     """
-    if _same_param(a, c):
+    if a == c:
         return f
     c_base = c.value if isinstance(c, Jet) else complex(c)
     if _is_nonpositive_integer(c_base):
         raise ValueError("lower parameter with base %s sits on a pole" % c_base)
-    n = max(_order_of(a), _order_of(c))
-    if n:
-        a, c = _lift(a, n), _lift(c, n)
-        one = as_jet(1, n)
-    else:
-        a, c, one = complex(a), complex(c), complex(1.0)
+    a, c = (p if isinstance(p, Jet) else complex(p) for p in (a, c))
+    orders = {p.order for p in (a, c) if isinstance(p, Jet)}
+    if len(orders) > 1:
+        raise ValueError("parameters mix jet orders %s" % sorted(orders))
+    one = as_jet(1, orders.pop()) if orders else complex(1.0)
     # (a)_k and (c)_k as running products, extended by one factor per new
     # k in the order `pochhammer` multiplies.  Both carry the same power
     # of two, so their quotient is bitwise the unscaled one wherever both
@@ -237,7 +226,7 @@ def hypize(f: CoeffStream, a: ParamLike, c: ParamLike) -> CoeffStream:
             if max(_magnitude(pa), _magnitude(pc)) > _RESCALE_AT:
                 pa, pc = pa * _RESCALE, pc * _RESCALE
         run[:] = j, pa, pc
-        return _mul(_f.coeff(k), pa / pc)
+        return _f.coeff(k) * (pa / pc)
 
     return CoeffStream(
         weighted,
@@ -286,8 +275,8 @@ def power_split(f: CoeffStream, a: ParamLike, c: ParamLike, n: int) -> PowerSpli
                 "stream %s has a nonzero coefficient at k=%d, not a function of x**%d"
                 % (f.label, k, n)
             )
-    upper = tuple((_add(a, j)) / n for j in range(n))
-    lower = tuple((_add(c, j)) / n for j in range(n))
+    upper = tuple((a + j) / n for j in range(n))
+    lower = tuple((c + j) / n for j in range(n))
     return PowerSplit(upper=upper, lower=lower, power=n)
 
 
@@ -305,7 +294,7 @@ def taylor_remainder(f: CoeffStream, n: int) -> CoeffStream:
     nfact = float(math.factorial(n))
 
     def shifted(k: int, _f=f, _n=n, _w=nfact):
-        return _mul(_f.coeff(_n + k), _w)
+        return _f.coeff(_n + k) * _w
 
     return CoeffStream(shifted, f.radius, "%s tail[%d]" % (f.label, n))
 

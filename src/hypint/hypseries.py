@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, _jet, as_jet
+from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet
 from .numkernel import (
     _is_nonpositive_integer,
     gamma_jet,
@@ -269,15 +269,9 @@ class _ScalarSum:
         return complex(self.re + self.cre, self.im + self.cim)
 
 
-def _jet_norm(j: Jet) -> float:
-    return max(abs(c) for c in j.coeffs)
-
-
-def _overflow(spec: PFQSpec, z: complex, k: int) -> TermOverflowError:
+def _overflow(name: str, z: complex, k: int) -> TermOverflowError:
     return TermOverflowError(
-        k,
-        "term or partial sum %d of %s at %r left the double range"
-        % (k, spec.describe(), z),
+        k, "term or partial sum %d of %s at %r left the double range" % (k, name, z)
     )
 
 
@@ -317,6 +311,9 @@ class _Terms:
     does not exist.  With scalar parameters only, L and M stay trivial
     and a block is t * cumprod(ratio); `scalar` says so up front.
     """
+
+    # each term is the one before times a finite ratio
+    running = True
 
     def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool,
                  scalar: bool):
@@ -404,10 +401,10 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return mag[:, 0] if mag.shape[1] == 1 else mag.max(axis=1)
 
 
-def _sums(acc: list, spec: PFQSpec, z: complex, k: int) -> tuple:
+def _sums(acc: list, overflow, k: int) -> tuple:
     s = tuple(a.value() for a in acc)
     if not all(map(cmath.isfinite, s)):
-        raise _overflow(spec, z, k)
+        raise overflow(k)
     return s
 
 
@@ -418,17 +415,14 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     the order+1 jet coefficients of the partial sum.  With scalar
     parameters the first _FIRST_CHECKPOINT terms run through the
     per-term recurrence, so a short series never touches numpy; a jet
-    series starts from its first term alone.  The rest come in _Terms
-    blocks ending at 64 terms, then with lengths doubling up to
-    _BLOCK_CAP, so every power-of-two count from 64 on ends a block.
-    Each coefficient of each block is added exactly with math.fsum, and
-    the block sums are compensated across blocks.
-
-    With `tol`, the sum stops after two consecutive terms (past the
-    first) each at most tol * max(1, |partial sum|), |.| the largest
-    coefficient modulus, and yields stopped=True.  A non-finite term or
-    partial sum raises TermOverflowError at once.
+    series starts from its first term alone.  _block_partials sums the
+    rest from _Terms blocks.  With `tol`, the sum stops after two
+    consecutive tiny terms past the first.
     """
+
+    def overflow(k: int) -> TermOverflowError:
+        return _overflow(spec.describe(), z, k)
+
     acc = [_ScalarSum() for _ in range(spec.order + 1)]
     acc[0].re = 1.0  # the first term
     small = False
@@ -463,7 +457,7 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                 den *= cj + j
             t = t * num / den
             if not isfinite(t):
-                raise _overflow(spec, z, k)
+                raise overflow(k)
             x = t.real
             u = re + x
             cre += (re - u) + x if abs(re) >= abs(x) else (x - u) + re
@@ -478,16 +472,37 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                 if abs(t) <= tol * max(1.0, size):
                     if small:
                         acc[0] = _ScalarSum(re, cre, im, cim)
-                        yield k + 1, _sums(acc, spec, z, k), True
+                        yield k + 1, _sums(acc, overflow, k), True
                         return
                     small = True
                 else:
                     small = False
         acc[0] = _ScalarSum(re, cre, im, cim)
-    yield n, _sums(acc, spec, z, n - 1), False
-    if n >= limit:
-        return
-    terms = _Terms(spec, z, t, real, scalar)
+    yield n, _sums(acc, overflow, n - 1), False
+    if n < limit:
+        terms = _Terms(spec, z, t, real, scalar)
+        yield from _block_partials(terms, acc, n, limit, tol, 2, int(small), overflow)
+
+
+def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
+                    small: int, overflow):
+    """Partial sums over the blocks of a term source, up to `limit` terms.
+
+    `terms.block(k0, m)` gives terms k0+1 .. k0+m as the rows of an
+    array with one column per jet coefficient; a float array promises
+    that every term so far was real.  `acc` holds the compensated sums
+    of the first n terms.  Blocks end at 64 terms, then double in length
+    up to _BLOCK_CAP, so every power-of-two count from 64 on ends a
+    block.  Each coefficient of each block is added exactly with
+    math.fsum, and the block sums are compensated across blocks.  Yields
+    (n, S_n, stopped) after each block.
+
+    With `tol`, the sum stops after `run` consecutive terms, the first
+    `small` of them carried in, each at most tol * max(1, |partial sum|),
+    |.| the largest coefficient modulus, and yields stopped=True.  A
+    non-finite term or partial sum raises overflow(k), k its index.
+    """
+    carry = np.ones(small, bool)
     while n < limit:
         if n < _FIRST_CHECKPOINT:
             m = _FIRST_CHECKPOINT - n
@@ -496,10 +511,11 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
         m = min(m, limit - n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             blk = terms.block(n - 1, m)
+            real = blk.dtype.kind == "f"
             bad = None
-            if blk.shape[1] == 1:
-                # the ratios are finite, so a non-finite term stays
-                # non-finite through cumprod: the last term tells
+            if terms.running and blk.shape[1] == 1:
+                # a running product of finite ratios keeps a non-finite
+                # term non-finite: the last term tells
                 if not cmath.isfinite(blk[-1, 0]):
                     bad = int(np.argmin(np.isfinite(blk[:, 0])))
                     blk = blk[:bad]
@@ -518,17 +534,21 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                     blk, size = blk[:bad], size[:bad]
                 tiny = _row_norm(blk) <= tol * np.maximum(1.0, size)
                 if tiny.any():
-                    both = tiny[1:] & tiny[:-1]
-                    if small and tiny[0]:
-                        stop = 0
-                    elif both.any():
-                        stop = int(np.argmax(both)) + 1
-                if tiny.size:
-                    small = bool(tiny[-1])
+                    # ANDed shifted copies: hit[i] says entries i ..
+                    # i+run-1 of the carried and new flags are all tiny
+                    ext = np.concatenate((carry, tiny))
+                    hit = ext[run - 1 :]
+                    for d in range(1, run):
+                        hit = hit & ext[run - 1 - d :][: len(hit)]
+                    if hit.any():
+                        stop = int(np.argmax(hit)) + run - 1 - len(carry)
+                    carry = ext[1 - run :]
+                else:
+                    carry = tiny[:0]
         if stop is not None:
             blk = blk[: stop + 1]
         elif bad is not None:
-            raise _overflow(spec, z, n + bad)
+            raise overflow(n + bad)
         try:
             if real:
                 for col, s in zip(blk.T.tolist(), acc):
@@ -538,9 +558,9 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                     s.add(complex(math.fsum(col.real.tolist()),
                                   math.fsum(col.imag.tolist())))
         except OverflowError:
-            raise _overflow(spec, z, n + len(blk) - 1) from None
+            raise overflow(n + len(blk) - 1) from None
         n += len(blk)
-        yield n, _sums(acc, spec, z, n - 1), stop is not None
+        yield n, _sums(acc, overflow, n - 1), stop is not None
         if stop is not None:
             return
 
@@ -620,8 +640,8 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
             ]
             est = _jet(tuple(cols))
             if prev_est is not None:
-                scale = max(1.0, _jet_norm(est))
-                if _jet_norm(est - prev_est) <= tol * scale:
+                scale = max(1.0, _magnitude(est))
+                if _magnitude(est - prev_est) <= tol * scale:
                     return est
             prev_est = est
     raise ConvergenceError(
@@ -700,7 +720,11 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
             return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
     if az >= 0.95:
         return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
-    return _direct_sum(spec, z, tol, TERM_CAP)
+    # the term ratio of a unit-disk series tends to z, so the tail left
+    # after the last summed term t is about |t| |z| / (1 - |z|): past
+    # |z| = 1/2 the stop test on single terms has to be that much
+    # stricter for the tail to stay below tol
+    return _direct_sum(spec, z, tol * min(1.0, (1.0 - az) / az), TERM_CAP)
 
 
 def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:

@@ -106,7 +106,7 @@ class AntiderivativeForm:
 @dataclass(frozen=True)
 class IntegralResult:
     value: Jet
-    method: str
+    steps: tuple[str, ...]
     oracle_value: Optional[float] = None
     discrepancy: Optional[float] = None
 
@@ -284,7 +284,7 @@ def definite_0_to_1(
         oracle_value = q.value
         discrepancy = abs(value.value - q.value)
         steps.append("oracle: quadrature on [0, 1]")
-    return IntegralResult(value, "; ".join(steps), oracle_value, discrepancy)
+    return IntegralResult(value, tuple(steps), oracle_value, discrepancy)
 
 
 def definite_0_to_inf(
@@ -335,7 +335,7 @@ def definite_0_to_inf(
             steps.append(
                 "oracle skipped: series body not evaluable beyond the unit disk"
             )
-    return IntegralResult(value, "; ".join(steps), oracle_value, discrepancy)
+    return IntegralResult(value, tuple(steps), oracle_value, discrepancy)
 
 
 def _augment_note(spec: IntegrandSpec, form: AntiderivativeForm) -> str:

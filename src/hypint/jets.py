@@ -292,6 +292,13 @@ def jet_pow(a: Jet, p: Scalar | Jet) -> Jet:
     return jet_exp(jet_log(a) * pc)
 
 
+def _magnitude(x: Scalar | Jet) -> float:
+    """The largest coefficient modulus of a jet; abs of a plain number."""
+    if isinstance(x, Jet):
+        return max(map(abs, x.coeffs))
+    return abs(x)
+
+
 def extract(k: int, a: Jet) -> complex:
     """Coefficient of e^k; raises beyond the jet's order."""
     if not 0 <= k <= a.order:

@@ -14,12 +14,12 @@ live here with the quadrature forms needed to cross-check them.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .hypseries import PFQSpec, eval_series
+import numpy as np
+
+from .hypseries import PFQSpec, _ScalarSum, eval_series
 from .jets import Jet, eps
 
 __all__ = [
@@ -165,7 +165,10 @@ def eval_double(spec: DoubleSeriesSpec, tol: float = 1e-12) -> complex:
     The square side doubles until two consecutive L-shaped increments fall
     below tol; at the arguments this module cares about (modulus 1/3) the
     terms decay geometrically along every diagonal, so the shell sum bounds
-    the remaining tail up to a constant.
+    the remaining tail up to a constant.  A shell is one outer product of
+    the inner factors X(j) x^j and Y(k) y^k, formed before the outer weight
+    O(j+k) multiplies in, each shell added exactly with math.fsum.  A
+    non-finite shell raises ValueError.
     """
     if not spec.in_domain():
         raise ValueError(
@@ -174,43 +177,35 @@ def eval_double(spec: DoubleSeriesSpec, tol: float = 1e-12) -> complex:
         )
     x, y = (complex(a) for a in spec.args)
     outer, wx, wy = _weight_trio(spec)
-
-    xp = [1.0 + 0j]
-    yp = [1.0 + 0j]
-
-    def extend_powers(n: int) -> None:
-        while len(xp) < n:
-            xp.append(xp[-1] * x)
-        while len(yp) < n:
-            yp.append(yp[-1] * y)
-
-    total = 0.0 + 0j
+    total = _ScalarSum()
     prev_side = 0
     side = 8
     calm = 0
     while side <= BLOCK_CAP:
-        extend_powers(side)
-        o = outer.upto(2 * side)
-        fx = wx.upto(side)
-        fy = wy.upto(side)
-        shell = 0.0 + 0j
-        for j in range(side):
-            kmin = prev_side if j < prev_side else 0
-            ojx = fx[j] * xp[j]
-            if ojx == 0:
-                continue
-            for k in range(kmin, side):
-                fyk = fy[k] * yp[k]
-                # the outer weight alone can overflow where a dead inner
-                # factor already zeroed the term; skip before multiplying
-                if fyk == 0:
-                    continue
-                shell += o[j + k] * ojx * fyk
-        total += shell
-        if abs(shell) <= tol * max(1.0, abs(total)):
+        o = np.array(outer.upto(2 * side))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = np.array(wx.upto(side)[:side]) * _powers(x, side)
+            fy = np.array(wy.upto(side)[:side]) * _powers(y, side)
+            inner = np.multiply.outer(fx, fy)
+            inner[:prev_side, :prev_side] = 0.0  # summed in earlier shells
+            # where the inner factors vanish the outer weight, which may
+            # have overflowed, is left out
+            live = inner != 0
+            vals = o[np.add.outer(np.arange(side), np.arange(side))[live]] * inner[live]
+        try:
+            if not np.isfinite(vals).all():
+                raise OverflowError
+            shell = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
+        except OverflowError:  # a term, or the shell's sum
+            raise ValueError(
+                "double series %s at %r: a term or shell sum left the double range"
+                % (spec.kind, spec.args)
+            ) from None
+        total.add(shell)
+        if abs(shell) <= tol * max(1.0, abs(total.value())):
             calm += 1
             if calm >= 2:
-                return total
+                return total.value()
         else:
             calm = 0
         prev_side = side
@@ -219,6 +214,13 @@ def eval_double(spec: DoubleSeriesSpec, tol: float = 1e-12) -> complex:
         "double series did not settle within %d x %d terms"
         % (BLOCK_CAP, BLOCK_CAP)
     )
+
+
+def _powers(w: complex, n: int) -> np.ndarray:
+    """1, w, ..., w^(n-1) as a running product."""
+    p = np.full(n, w)
+    p[0] = 1.0
+    return np.cumprod(p)
 
 
 # ---------------------------------------------------------------------------

@@ -59,15 +59,6 @@ class _Counted:
         return self.f(x)
 
 
-def _neumaier_add(total: float, comp: float, term: float) -> tuple[float, float]:
-    t = total + term
-    if abs(total) >= abs(term):
-        comp += (total - t) + term
-    else:
-        comp += (term - t) + total
-    return t, comp
-
-
 def _tanh_sinh(g: _Counted, a: float, b: float, tol: float) -> tuple[float, float]:
     """Double-exponential quadrature on (a, b).
 
@@ -82,8 +73,7 @@ def _tanh_sinh(g: _Counted, a: float, b: float, tol: float) -> tuple[float, floa
     for level in range(4, 13):
         n = 2**level
         h = 6.1 / n  # cosh((pi/2) sinh 6.1) ~ 1e150; weights vanish past this
-        total = 0.0
-        comp = 0.0
+        terms = []
         for i in range(n + 1):
             t = i * h
             s = (math.pi / 2) * math.sinh(t)
@@ -95,10 +85,15 @@ def _tanh_sinh(g: _Counted, a: float, b: float, tol: float) -> tuple[float, floa
             xl = a + q
             xr = b - q
             if a < xl < b:
-                total, comp = _neumaier_add(total, comp, w * g(xl))
+                terms.append(w * g(xl))
             if i > 0 and a < xr < b and xr != xl:
-                total, comp = _neumaier_add(total, comp, w * g(xr))
-        val = half * h * (total + comp)
+                terms.append(w * g(xr))
+        try:
+            val = half * h * math.fsum(terms)
+        except (OverflowError, ValueError):  # inf - inf, or past the double range
+            raise OracleError(
+                "tanh-sinh level sum left the double range on [%g, %g]" % (a, b)
+            ) from None
         if prev == prev:  # not NaN
             err = abs(val - prev)
             if err <= tol * max(1.0, abs(val)):

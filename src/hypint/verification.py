@@ -29,7 +29,7 @@ from .integrate import (
     definite_0_to_inf,
     verify_ftc,
 )
-from .jets import Jet, eps, extract
+from .jets import _magnitude, eps, extract
 from .multivar import (
     PhiIntegrand,
     eval_3F2_example_closed,
@@ -553,14 +553,7 @@ def _stream(label: str, coeff: Callable[[int], float]) -> CoeffStream:
 
 
 def _worst_coeff_gap(f: CoeffStream, g: CoeffStream, upto: int) -> float:
-    worst = 0.0
-    for k in range(upto + 1):
-        d = f.coeff(k) - g.coeff(k)
-        if isinstance(d, Jet):
-            worst = max(worst, max(abs(c) for c in d.coeffs))
-        else:
-            worst = max(worst, abs(d))
-    return worst
+    return max(_magnitude(f.coeff(k) - g.coeff(k)) for k in range(upto + 1))
 
 
 def _group_14() -> List[CheckRow]:

@@ -283,6 +283,13 @@ def test_closed_form_carries_the_constant_coefficient(capsys):
     assert payload["closed_form"] == "2 * Gamma(4/3)Gamma(2/3)"
 
 
+def test_constant_sum_is_a_constant_factor(capsys):
+    folded = run_cli(["integrate", "(1+1)*x/(1+x^2)^2", "--to", "inf"], capsys)
+    plain = run_cli(["integrate", "2*x/(1+x^2)^2", "--to", "inf"], capsys)
+    assert folded[0] == 0
+    assert folded == plain
+
+
 def test_integrate_monomial_unit_interval(capsys):
     code, out, _ = run_cli(["integrate", "x^2", "--to", "1", "--json"], capsys)
     assert code == 0

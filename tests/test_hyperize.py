@@ -21,7 +21,7 @@ from hypint.hyperize import (
     taylor_remainder,
     undo,
 )
-from hypint.hypseries import PFQSpec, eval_series
+from hypint.hypseries import PFQSpec, TermOverflowError, eval_series
 from hypint.jets import Jet, eps, extract
 from hypint.numkernel import pochhammer
 
@@ -244,6 +244,32 @@ def test_evaluate_outside_radius_raises():
 def test_evaluate_survives_interior_zero_coefficients():
     f = arctan_stream()
     assert f.evaluate(0.5, tol=1e-15).real == pytest.approx(math.atan(0.5), abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "coeff, z, k",
+    [
+        # the partial sum leaves the double range at the second term
+        (lambda k: 1e308, 0.9, 1),
+        # term 14 overflows while the sum before it is finite
+        (lambda k: 1e300 * 4.0**k if k < 200 else 0.0, 0.5, 14),
+        # a NaN inside a block, whose last row is finite
+        (lambda k: math.nan if k == 5 else 1.0, 0.5, 5),
+    ],
+)
+def test_evaluate_raises_on_a_non_finite_term_or_sum(coeff, z, k):
+    with pytest.raises(TermOverflowError) as info:
+        CoeffStream(coeff, 1.0, "bad").evaluate(z)
+    assert info.value.k == k
+
+
+def test_mixed_jet_orders_raise():
+    with pytest.raises(ValueError, match="jet orders"):
+        hypize(geometric_stream(), 0.5 + eps(1), 1.5 + eps(2))
+    # a coefficient of another order than coefficient 0
+    mixed = CoeffStream(lambda k: 1.0 + eps(1) if k == 0 else 1.0 + eps(2), 1.0, "mixed")
+    with pytest.raises(ValueError, match="order"):
+        mixed.evaluate(0.5)
 
 
 def test_concurrent_first_access_fills_once():

@@ -169,7 +169,7 @@ def test_catalan_constant():
     res = definite_0_to_1(IntegrandSpec(Fraction(0), arctan_over_x_body()))
     assert res.value.value.real == pytest.approx(CATALAN, rel=1e-11)
     assert res.discrepancy is not None and res.discrepancy < 1e-8
-    assert "augment" in res.method
+    assert "augment" in res.steps[0]
 
 
 def test_beta_function_row():
@@ -374,7 +374,7 @@ def test_trinomial_oracle_skip_is_announced():
         order=0,
     )
     res = definite_0_to_inf(IntegrandSpec(Fraction(-2, 5), body))
-    assert "oracle skipped" in res.method
+    assert "oracle skipped" in res.steps[-1]
     assert res.oracle_value is None
 
 

@@ -48,6 +48,41 @@ def test_domain_gates():
         eval_double(f2)
 
 
+def test_f2_inner_product_shields_the_overflowed_outer_weight():
+    # (1.5)_{j+k} overflows past j+k = 170; at (0.3, 0.3) the inner
+    # factor x^j y^k / (j! k!)-like has underflowed to zero there.
+    # Reference: mpmath appellf2(1.5, 0.5, 0.7, 1.2, 1.3, 0.3, 0.3).
+    spec = DoubleSeriesSpec("F2", (1.5,), (0.5, 1.2), (0.7, 1.3), (0.3, 0.3))
+    assert eval_double(spec).real == pytest.approx(1.79854681541142856635, rel=1e-14)
+
+
+def test_shells_match_a_plain_double_sum():
+    # reference: every cell of a 60 x 60 square, built term by term and
+    # added with math.fsum; the cells past it are below 1e-25
+    a, c, b1, b2, x, y = 0.7, 1.9, 0.4, 2.2, 0.3 + 0.2j, -0.25
+    cells = []
+    for j in range(60):
+        for k in range(60):
+            w = x**j * y**k
+            for i in range(j + k):
+                w *= (a + i) / (c + i)
+            for i in range(j):
+                w *= (b1 + i) / (i + 1)
+            for i in range(k):
+                w *= (b2 + i) / (i + 1)
+            cells.append(w)
+    want = complex(math.fsum(w.real for w in cells), math.fsum(w.imag for w in cells))
+    got = eval_double(DoubleSeriesSpec("F1", (a, c), (b1,), (b2,), (x, y)))
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_overflowed_shell_raises():
+    # at (0.45, 0.45) live inner factors meet the overflowed outer weight
+    spec = DoubleSeriesSpec("F2", (1.5,), (0.5, 1.2), (0.7, 1.3), (0.45, 0.45))
+    with pytest.raises(ValueError, match="double range"):
+        eval_double(spec)
+
+
 def test_f1_collapses_to_gauss_on_axis():
     spec = DoubleSeriesSpec("F1", (0.7, 1.9), (0.4,), (2.2,), (0.3, 0.0))
     want = eval_series(

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hypint.oracle import (
     OracleError,
+    _Counted,
+    _tanh_sinh,
     agm,
     ellipk_agm,
     ellipk_imag_agm,
@@ -30,6 +32,22 @@ def test_catalan_literal_against_alternating_series():
     s = sum((-1.0) ** k / (2 * k + 1) ** 2 for k in range(n))
     s += (-1.0) ** n / (2 * n + 1) ** 2 / 2.0
     assert abs(s - CATALAN) < 5e-13
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [(lambda x: x**-0.5, 2.0), (math.log, -1.0), (lambda x: x**-0.9, 10.0)],
+)
+def test_tanh_sinh_resolves_singularities_at_zero(f, want):
+    val, _ = _tanh_sinh(_Counted(f), 0.0, 1.0, 1e-12)
+    assert val == pytest.approx(want, rel=1e-13)
+
+
+def test_tanh_sinh_refuses_a_singularity_at_the_right_endpoint():
+    # nodes near 1 are rounded, so only an endpoint at 0 keeps full
+    # resolution: the levels never settle, and no number comes back
+    with pytest.raises(OracleError):
+        _tanh_sinh(_Counted(lambda x: 1.0 / math.sqrt(1.0 - x * x)), 0.0, 1.0, 1e-12)
 
 
 def test_import_leaves_scipy_integrate_unloaded(src_env):
