@@ -30,13 +30,14 @@ from .hypseries import PFQSpec, SeriesError, eval_series
 from .integrate import (
     DRIVER_TOL,
     IntegrandSpec,
-    _halfline_oracle_ready,
-    antiderivative,
+    _fmt_complex,
+    _fmt_gamma_arg,
+    _oracle_check,
     definite_0_to_1,
     definite_0_to_inf,
 )
 from .jets import Jet, eps, extract
-from .oracle import OracleError, quad_finite, quad_halfline
+from .oracle import OracleError
 from .transforms import catalog, catalog_names
 from .verification import report_lines, run_suite
 
@@ -1009,64 +1010,7 @@ def _merge_body(st: _Integrand, body: PFQSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# gamma-product rendering for the half-line closed form
-
-
-def _halfline_closed_form(
-    spec: IntegrandSpec, value: float, coeff: complex
-) -> Optional[str]:
-    """coeff times the integral `value` of `spec`, as a Gamma product.
-
-    None when the product does not match `value`.
-    """
-    body = spec.body
-    if not isinstance(body, PFQSpec) or body.order:
-        return None
-    form = antiderivative(spec)
-    aug = form.body
-    u = (spec.alpha + 1) / body.power
-    ups = [p.value if isinstance(p, Jet) else complex(p) for p in aug.upper]
-    lows = [p.value if isinstance(p, Jet) else complex(p) for p in aug.lower]
-    m = None
-    for i, a in enumerate(ups):
-        if abs(a - complex(float(u))) < 1e-12:
-            m = i
-            break
-    if m is None:
-        return None
-    rest = [a for i, a in enumerate(ups) if i != m]
-    num = [("%s" % _fmt_gamma_arg(c)) for c in lows]
-    num += [_fmt_gamma_arg(a - float(u)) for a in rest]
-    den = [_fmt_gamma_arg(a) for a in rest]
-    den += [_fmt_gamma_arg(c - float(u)) for c in lows]
-    try:
-        val = 1.0
-        for c in lows:
-            val *= math.gamma(c.real)
-        for a in rest:
-            val *= math.gamma(a.real - float(u))
-        for a in rest:
-            val /= math.gamma(a.real)
-        for c in lows:
-            val /= math.gamma(c.real - float(u))
-    except (ValueError, OverflowError):
-        return None
-    scale_mag = abs(complex(body.scale))
-    val *= float(form.prefactor_coeff) * scale_mag ** float(-u)
-    if not math.isclose(val, value, rel_tol=1e-10):
-        return None
-    pieces = "".join("Gamma(%s)" % s for s in num)
-    denom = "".join("Gamma(%s)" % s for s in den if s != "1")
-    factors = []
-    if coeff != 1:
-        factors.append(_fmt_coeff(coeff))
-    if form.prefactor_coeff != 1:
-        factors.append(str(form.prefactor_coeff))
-    if pieces:
-        factors.append(pieces if not denom else "%s/(%s)" % (pieces, denom))
-    if scale_mag != 1.0:
-        factors.append("%g^(-%s)" % (scale_mag, u))
-    return " * ".join(factors) or "1"
+# output plumbing
 
 
 def _fmt_coeff(c: complex) -> str:
@@ -1077,31 +1021,6 @@ def _fmt_coeff(c: complex) -> str:
         mag = _fmt_gamma_arg(complex(c.imag))
         return {"1": "i", "-1": "-i"}.get(mag, mag + "*i")
     return "(%s)" % _fmt_complex(c)
-
-
-def _fmt_gamma_arg(z: complex) -> str:
-    if abs(z.imag) > 1e-12:
-        return _fmt_complex(z)
-    f = Fraction(z.real).limit_denominator(10**6)
-    if abs(float(f) - z.real) < 1e-12:
-        return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
-            f.numerator,
-            f.denominator,
-        )
-    return "%.12g" % z.real
-
-
-# ---------------------------------------------------------------------------
-# output plumbing
-
-
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0.0:
-        return "%.17g" % z.real
-    if z.real == 0.0:
-        return "%.17gi" % z.imag
-    return "%.17g %s %.17gi" % (z.real, "+" if z.imag >= 0 else "-", abs(z.imag))
 
 
 def _pair(z: complex) -> dict:
@@ -1213,10 +1132,12 @@ def _cmd_integrate(args) -> int:
         integrand = _real_closure(expr)
     if args.to == "1":
         res = definite_0_to_1(spec, verify=False)
-        closed = None
     else:
         res = definite_0_to_inf(spec, verify=False)
-        closed = _halfline_closed_form(spec, res.value.value.real, st.coeff)
+    closed = res.closed_form
+    if closed is not None and st.coeff != 1:
+        coeff = _fmt_coeff(st.coeff)
+        closed = coeff if closed == "1" else "%s * %s" % (coeff, closed)
     trace.extend(res.steps)
     raw = res.value
     if st.extract_k:
@@ -1228,21 +1149,12 @@ def _cmd_integrate(args) -> int:
     else:
         out_value = st.coeff * raw.value
         jet = None
-    oracle_value = None
-    discrepancy = None
+    oracle_value = discrepancy = None
     if integrand is not None:
-        if args.to == "1":
-            oracle_value = quad_finite(integrand, 0.0, 1.0, DRIVER_TOL).value
-            trace.append("oracle: quadrature on [0, 1]")
-        elif _halfline_oracle_ready(st.body):
-            oracle_value = quad_halfline(integrand, DRIVER_TOL).value
-            trace.append("oracle: quadrature on [0, oo)")
-        else:
-            trace.append(
-                "oracle skipped: series body not evaluable beyond the unit disk"
-            )
-        if oracle_value is not None:
-            discrepancy = abs(out_value - oracle_value)
+        oracle_value, discrepancy, step = _oracle_check(
+            integrand, st.body, args.to != "1", out_value, DRIVER_TOL
+        )
+        trace.append(step)
     _emit(
         _payload(
             args.expr,

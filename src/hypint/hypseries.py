@@ -94,11 +94,18 @@ class ConvergenceClass:
 
 @dataclass(frozen=True)
 class AsymptoticTerm:
-    """Leading behavior at -oo: (-z)^(-exponent) * coefficient... i.e.
-    (-z)^exponent * F(z) -> coefficient."""
+    """Leading behavior at -oo: (-z)^exponent * F(z) -> coefficient.
+
+    For a nonterminating series the coefficient is the Gamma quotient
+    prod Gamma(gamma_numerator) / prod Gamma(gamma_denominator).  A
+    terminating series has a Pochhammer ratio instead and leaves both
+    tuples None.
+    """
 
     exponent: Jet
     coefficient: Jet
+    gamma_numerator: Optional[tuple] = None
+    gamma_denominator: Optional[tuple] = None
 
 
 ParamLike = Union[int, float, complex, Jet]
@@ -813,10 +820,11 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
                 % (bases[im].real, sig.real - 0.5),
             )
     alpha = ups[im]
+    rest = tuple(a for i, a in enumerate(ups) if i != im)
+    num = spec.lower + tuple(a - alpha for a in rest)
+    den = rest + tuple(c - alpha for c in spec.lower)
     coeff = as_jet(1, spec.order)
-    for i, a in enumerate(ups):
-        if i != im:
-            coeff = coeff * gamma_jet(a - alpha) * reciprocal_gamma_jet(a)
-    for c in spec.lower:
-        coeff = coeff * gamma_jet(c) * reciprocal_gamma_jet(c - alpha)
-    return AsymptoticTerm(alpha, coeff)
+    # Gamma(a - alpha)/Gamma(a) per other upper a, then Gamma(c)/Gamma(c - alpha)
+    for g, r in zip(num[spec.q :] + num[: spec.q], den):
+        coeff = coeff * gamma_jet(g) * reciprocal_gamma_jet(r)
+    return AsymptoticTerm(alpha, coeff, num, den)

@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Union
 
 from .hyperize import CoeffStream, hypize
 from .hypseries import (
+    AsymptoticTerm,
     DivergentError,
     LimitConditionError,
     PFQSpec,
@@ -105,10 +106,13 @@ class AntiderivativeForm:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """`closed_form`: the Gamma product of a scalar integral on [0, oo)."""
+
     value: Jet
     steps: tuple[str, ...]
     oracle_value: Optional[float] = None
     discrepancy: Optional[float] = None
+    closed_form: Optional[str] = None
 
 
 def _body_order(body: Body) -> int:
@@ -267,6 +271,29 @@ def _halfline_oracle_ready(body: Body) -> bool:
     return (body.p, body.q) in ((1, 0), (2, 1))
 
 
+def _oracle_check(
+    integrand: Callable[[float], float],
+    body: Body,
+    halfline: bool,
+    value: complex,
+    tol: float,
+) -> tuple[Optional[float], Optional[float], str]:
+    """Quadrature of a real integrand on [0, 1] or [0, oo).
+
+    Returns the oracle's number, its distance from `value` and the step
+    text; both numbers are None when the body cannot be evaluated far
+    enough out for the half-line quadrature.
+    """
+    if not halfline:
+        q, step = quad_finite(integrand, 0.0, 1.0, tol), "oracle: quadrature on [0, 1]"
+    elif _halfline_oracle_ready(body):
+        q, step = quad_halfline(integrand, tol), "oracle: quadrature on [0, oo)"
+    else:
+        skip = "oracle skipped: series body not evaluable beyond the unit disk"
+        return None, None, skip
+    return q.value, abs(value - q.value), step
+
+
 def definite_0_to_1(
     spec: IntegrandSpec, tol: float = DRIVER_TOL, verify: bool = True
 ) -> IntegralResult:
@@ -277,14 +304,7 @@ def definite_0_to_1(
     steps = [_augment_note(spec, form)]
     value = form.evaluate(1.0, tol)
     steps.append("boundary value F(1) - F(0) with F(0) = 0")
-    oracle_value = None
-    discrepancy = None
-    if verify:
-        q = quad_finite(_scalar_integrand(spec, tol), 0.0, 1.0, tol)
-        oracle_value = q.value
-        discrepancy = abs(value.value - q.value)
-        steps.append("oracle: quadrature on [0, 1]")
-    return IntegralResult(value, tuple(steps), oracle_value, discrepancy)
+    return _checked(spec, value, steps, False, tol, verify)
 
 
 def definite_0_to_inf(
@@ -295,7 +315,8 @@ def definite_0_to_inf(
     The boundary term at infinity is x^(alpha+1) times the body, whose
     argument runs to -oo; it settles to a finite number exactly when the
     added parameter (alpha+1)/beta is the strictly smallest upper one,
-    leaving prefactor_coeff * C * |scale|^(-(alpha+1)/beta).
+    leaving prefactor_coeff * C * |scale|^(-(alpha+1)/beta).  For a
+    scalar body the Gamma arguments of C give `closed_form`.
     """
     body = spec.body
     if not isinstance(body, PFQSpec):
@@ -307,8 +328,6 @@ def definite_0_to_inf(
     if body.scale.imag != 0.0 or body.scale.real >= 0.0:
         raise ValueError("needs a negative real scale, got %s" % body.scale)
     form = antiderivative(spec)
-    if not isinstance(form.body, PFQSpec):
-        raise TypeError("half-line driver needs a series body")
     u = (spec.alpha + 1) / body.power
     term = limit_at_minus_infinity(form.body)
     if abs(term.exponent.value - float(u)) > 1e-12:
@@ -323,19 +342,75 @@ def definite_0_to_inf(
         "limit along the negative axis, exponent %s" % u,
         "scale factor |%g|^(-%s)" % (body.scale.real, u),
     ]
-    oracle_value = None
-    discrepancy = None
+    closed = None if body.order else _closed_form(term, form.prefactor_coeff, gam, u)
+    return _checked(spec, value, steps, True, tol, verify, closed)
+
+
+def _checked(
+    spec: IntegrandSpec,
+    value: Jet,
+    steps: List[str],
+    halfline: bool,
+    tol: float,
+    verify: bool,
+    closed: Optional[str] = None,
+) -> IntegralResult:
+    """The driver's result, with the oracle's check when `verify`."""
+    oracle_value = discrepancy = None
     if verify:
-        if _halfline_oracle_ready(body):
-            q = quad_halfline(_scalar_integrand(spec, tol), tol)
-            oracle_value = q.value
-            discrepancy = abs(value.value - q.value)
-            steps.append("oracle: quadrature on [0, oo)")
-        else:
-            steps.append(
-                "oracle skipped: series body not evaluable beyond the unit disk"
-            )
-    return IntegralResult(value, tuple(steps), oracle_value, discrepancy)
+        oracle_value, discrepancy, step = _oracle_check(
+            _scalar_integrand(spec, tol), spec.body, halfline, value.value, tol
+        )
+        steps.append(step)
+    return IntegralResult(value, tuple(steps), oracle_value, discrepancy, closed)
+
+
+def _closed_form(
+    term: AsymptoticTerm, prefactor: Fraction, scale: float, u: Fraction
+) -> str:
+    """prefactor * Gamma quotient * scale^(-u) as text, unit factors left out."""
+    num = "".join("Gamma(%s)" % _fmt_gamma_arg(g.value) for g in term.gamma_numerator)
+    den = "".join("Gamma(%s)" % _fmt_gamma_arg(g.value) for g in term.gamma_denominator)
+    den = den.replace("Gamma(1)", "")
+    factors = []
+    if prefactor != 1:
+        factors.append(str(prefactor))
+    if num:
+        factors.append(num if not den else "%s/(%s)" % (num, den))
+    if scale != 1.0:
+        factors.append("%s^(-%s)" % (_fmt_scale(scale), u))
+    return " * ".join(factors) or "1"
+
+
+def _fmt_scale(s: float) -> str:
+    """A positive scale exactly: %g when that reads back as s, else a
+    parenthesized rational, else 17 digits."""
+    text = "%g" % s
+    if float(text) == s:
+        return text
+    text = _fmt_gamma_arg(s)
+    if float(Fraction(text)) == s:
+        return "(%s)" % text if "/" in text else text
+    return "%.17g" % s
+
+
+def _fmt_gamma_arg(z: Union[float, complex]) -> str:
+    """A number as a short rational when it is one to 1e-12."""
+    if abs(z.imag) > 1e-12:
+        return _fmt_complex(z)
+    f = Fraction(z.real).limit_denominator(10**6)
+    if abs(float(f) - z.real) < 1e-12:
+        return str(f)
+    return "%.12g" % z.real
+
+
+def _fmt_complex(z: complex) -> str:
+    z = complex(z)
+    if z.imag == 0.0:
+        return "%.17g" % z.real
+    if z.real == 0.0:
+        return "%.17gi" % z.imag
+    return "%.17g %s %.17gi" % (z.real, "+" if z.imag >= 0 else "-", abs(z.imag))
 
 
 def _augment_note(spec: IntegrandSpec, form: AntiderivativeForm) -> str:

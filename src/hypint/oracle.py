@@ -74,25 +74,28 @@ def _tanh_sinh(g: _Counted, a: float, b: float, tol: float) -> tuple[float, floa
         n = 2**level
         h = 6.1 / n  # cosh((pi/2) sinh 6.1) ~ 1e150; weights vanish past this
         terms = []
-        for i in range(n + 1):
-            t = i * h
-            s = (math.pi / 2) * math.sinh(t)
-            ch = math.cosh(s)
-            w = (math.pi / 2) * math.cosh(t) / (ch * ch)
-            if w < 1e-290:
-                break
-            q = half * 2.0 / (math.exp(2.0 * s) + 1.0)  # half*(1 - tanh s)
-            xl = a + q
-            xr = b - q
-            if a < xl < b:
-                terms.append(w * g(xl))
-            if i > 0 and a < xr < b and xr != xl:
-                terms.append(w * g(xr))
         try:
+            for i in range(n + 1):
+                t = i * h
+                s = (math.pi / 2) * math.sinh(t)
+                ch = math.cosh(s)
+                w = (math.pi / 2) * math.cosh(t) / (ch * ch)
+                if w < 1e-290:
+                    break
+                q = half * 2.0 / (math.exp(2.0 * s) + 1.0)  # half*(1 - tanh s)
+                xl = a + q
+                xr = b - q
+                if a < xl < b:
+                    terms.append(w * g(xl))
+                if i > 0 and a < xr < b and xr != xl:
+                    terms.append(w * g(xr))
             val = half * h * math.fsum(terms)
-        except (OverflowError, ValueError):  # inf - inf, or past the double range
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            # the integrand failed at a node, or the level sum left the
+            # double range (inf - inf)
             raise OracleError(
-                "tanh-sinh level sum left the double range on [%g, %g]" % (a, b)
+                "tanh-sinh level on [%g, %g] raised %s: %s"
+                % (a, b, type(exc).__name__, exc)
             ) from None
         if prev == prev:  # not NaN
             err = abs(val - prev)

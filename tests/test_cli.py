@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +346,53 @@ def test_closed_form_without_gamma_factors(expr, to, want, capsys):
     assert json.loads(out)["closed_form"] == want
 
 
+def _gamma_product(text):
+    """Gamma(a)Gamma(b)... as a float, arguments read as rationals."""
+    out = 1.0
+    for arg in re.findall(r"Gamma\(([^()]*)\)", text):
+        out *= math.gamma(float(Fraction(arg)))
+    return out
+
+
+def _closed_form_value(text):
+    """Evaluate a printed half-line closed form with math.gamma alone."""
+    out = 1.0
+    for factor in text.split(" * "):
+        if factor.startswith("Gamma("):
+            num, _, den = factor.partition("/(")
+            out *= _gamma_product(num) / _gamma_product(den)
+        elif "^(-" in factor:
+            base, _, exp = factor.partition("^(-")
+            out *= float(Fraction(base.strip("()"))) ** -float(Fraction(exp[:-1]))
+        else:
+            out *= float(Fraction(factor))
+    return out
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["1/(1+x^3)", "x/(1+3*x^3)", "1/(1+(5/2)*x^3)^(5/2)",
+     "x^(3/2)/(1+(2/3)*x^2)^2", "x/(1+x^2)^2", "2/(1+x^3)"],
+)
+def test_printed_closed_form_gives_the_value(expr, capsys):
+    code, out, _ = run_cli(["integrate", expr, "--to", "inf", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert _closed_form_value(payload["closed_form"]) == pytest.approx(
+        payload["value"]["re"], rel=1e-10
+    )
+
+
+def test_closed_form_prints_an_inexact_scale_as_a_rational(capsys):
+    argv = ["integrate", "x^(3/2)/(1+(2/3)*x^2)^2", "--to", "inf", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closed_form"].endswith(" * (2/3)^(-5/4)")
+    # the trace keeps the short %g text
+    assert "scale factor |-0.666667|^(-5/4)" in payload["trace"]
+
+
 # ---------------------------------------------------------------------------
 # the oracle integrates the expression as typed
 
@@ -569,3 +619,34 @@ def test_module_entry_point_runs(src_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("value = 2")
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each `$ hypint integrate|eval` example."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if not line.startswith(("$ hypint integrate ", "$ hypint eval ")):
+            continue
+        block = []
+        for follow in lines[i + 1:]:
+            if not follow or follow.startswith(("$", "```")):
+                break
+            block.append(follow + "\n")
+        out.append((shlex.split(line[2:])[1:], "".join(block)))
+    return out
+
+
+def test_readme_lists_three_command_examples():
+    assert len(_readme_examples()) == 3
+
+
+@pytest.mark.parametrize("argv, want", _readme_examples())
+def test_readme_example_output(argv, want, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == want

@@ -675,12 +675,27 @@ def test_limit_gamma_product():
     assert term.coefficient.value == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "upper, lower",
+    [((1.0, 1.0 / 3.0), (4.0 / 3.0,)), ((0.3, 0.7, 1.9), (1.3, 2.6))],
+)
+def test_limit_gamma_arguments_give_the_coefficient(upper, lower):
+    term = limit_at_minus_infinity(PFQSpec(upper, lower))
+    want = 1.0
+    for g in term.gamma_numerator:
+        want *= math.gamma(g.value.real)
+    for g in term.gamma_denominator:
+        want /= math.gamma(g.value.real)
+    assert term.coefficient.value == pytest.approx(want, rel=1e-13)
+
+
 def test_limit_polynomial_case():
     b, c = 0.8, 1.7
     term = limit_at_minus_infinity(PFQSpec((-2.0, b), (c,)))
     assert term.exponent.value == -2.0
     want = (b * (b + 1.0)) / (c * (c + 1.0))
     assert term.coefficient.value == pytest.approx(want, rel=1e-14)
+    assert term.gamma_numerator is None and term.gamma_denominator is None
 
 
 def test_limit_rejects_too_few_upper():

@@ -378,6 +378,17 @@ def test_trinomial_oracle_skip_is_announced():
     assert res.oracle_value is None
 
 
+def test_closed_form_only_for_scalar_halfline_integrals():
+    body = PFQSpec((1.0,), (), scale=-1, power=3, order=0)
+    res = definite_0_to_inf(IntegrandSpec(Fraction(0), body), verify=False)
+    assert res.closed_form == "Gamma(4/3)Gamma(2/3)"
+    jet_body = PFQSpec((1.0 + eps(1),), (), scale=-1, power=3)
+    res = definite_0_to_inf(IntegrandSpec(Fraction(0), jet_body), verify=False)
+    assert res.closed_form is None
+    res = definite_0_to_1(IntegrandSpec(Fraction(0), body), verify=False)
+    assert res.closed_form is None
+
+
 def test_halfline_input_gates():
     good = PFQSpec((1.0,), (), scale=-1, power=2, order=0)
     with pytest.raises(TypeError, match="series body"):

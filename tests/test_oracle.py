@@ -50,6 +50,21 @@ def test_tanh_sinh_refuses_a_singularity_at_the_right_endpoint():
         _tanh_sinh(_Counted(lambda x: 1.0 / math.sqrt(1.0 - x * x)), 0.0, 1.0, 1e-12)
 
 
+def test_integrand_overflow_is_an_oracle_error():
+    with pytest.raises(OracleError, match="OverflowError"):
+        quad_finite(lambda x: x**-2, 0.0, 1.0)
+
+
+def test_halfline_integrand_overflow_is_an_oracle_error():
+    with pytest.raises(OracleError, match="OverflowError"):
+        quad_halfline(lambda x: x**-2)
+
+
+def test_integrand_domain_error_is_an_oracle_error():
+    with pytest.raises(OracleError, match="ValueError"):
+        quad_finite(lambda x: math.log(x - 0.5), 0.0, 1.0)
+
+
 def test_import_leaves_scipy_integrate_unloaded(src_env):
     # quad_finite imports it on first use; a fresh interpreter shows
     # whether `import hypint` pulled it in
