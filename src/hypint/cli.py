@@ -1171,8 +1171,9 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = run_suite(args.suite)
-    lines = report_lines(rows)
+    timings = {} if args.timings else None
+    rows = run_suite(args.suite, timings)
+    lines = report_lines(rows, timings)
     failed = sum(1 for r in rows if not r.passed)
     if args.json:
         payload = _payload(
@@ -1285,6 +1286,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         "--suite", choices=["paper", "identities", "all"], default="all"
     )
     p_ver.add_argument("--json", action="store_true")
+    p_ver.add_argument("--timings", action="store_true",
+                       help="add each row's margin err/tol and each group's ms")
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_cat = sub.add_parser("catalog", help="list series representations")
@@ -1312,7 +1315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("usage error: %s\n" % ex)
         return 2
     except (ComputationError, SeriesError, OracleError, ValueError,
-            TypeError, ZeroDivisionError) as ex:
+            TypeError, ZeroDivisionError, OverflowError) as ex:
         sys.stderr.write("rejected: %s\n" % ex)
         return 1
 

@@ -120,36 +120,48 @@ class PFQSpec:
     order: Optional[int] = None
 
     def __post_init__(self):
-        ups = tuple(self.upper)
-        lows = tuple(self.lower)
-        jet_orders = {p.order for p in (*ups, *lows) if isinstance(p, Jet)}
-        if len(jet_orders) > 1:
-            raise ValueError("parameters mix jet orders %s" % sorted(jet_orders))
-        inferred = next(iter(jet_orders)) if jet_orders else None
+        params = (*self.upper, *self.lower)
+        jets = [p for p in params if isinstance(p, Jet)]
         order = self.order
-        if order is None:
-            order = inferred if inferred is not None else DEFAULT_ORDER
-        elif inferred is not None and inferred != order:
-            raise ValueError("declared order %d but jets have %d" % (order, inferred))
-        ups = tuple(as_jet(p, order) for p in ups)
-        lows = tuple(as_jet(p, order) for p in lows)
+        if jets:
+            inferred = jets[0].order
+            if any(j.order != inferred for j in jets):
+                raise ValueError(
+                    "parameters mix jet orders %s" % sorted({j.order for j in jets})
+                )
+            if order is None:
+                order = inferred
+            elif inferred != order:
+                raise ValueError(
+                    "declared order %d but jets have %d" % (order, inferred)
+                )
+        elif order is None:
+            order = DEFAULT_ORDER
+        if len(jets) < len(params):
+            # a plain parameter becomes the constant jet as_jet builds
+            zeros = (0j,) * order
+            params = tuple([
+                p if isinstance(p, Jet) else _jet((complex(p),) + zeros)
+                for p in params
+            ])
+        ups, lows = params[: len(self.upper)], params[len(self.upper) :]
         if len(ups) > len(lows) + 1:
             raise ValueError(
                 "series needs p <= q+1, got p=%d q=%d" % (len(ups), len(lows))
             )
         for c in lows:
-            if _is_nonpositive_integer(c.value):
+            if _is_nonpositive_integer(c.coeffs[0]):
                 raise ValueError(
-                    "lower parameter with base %s sits on a pole" % c.value
+                    "lower parameter with base %s sits on a pole" % c.coeffs[0]
                 )
         power = self.power if isinstance(self.power, Fraction) else Fraction(self.power)
         if power == 0:
             raise ValueError("power must be nonzero")
-        object.__setattr__(self, "upper", ups)
-        object.__setattr__(self, "lower", lows)
-        object.__setattr__(self, "scale", complex(self.scale))
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "order", order)
+        # the frozen fields, normalized in one write past __setattr__
+        self.__dict__.update(
+            upper=ups, lower=lows, scale=complex(self.scale), power=power,
+            order=order,
+        )
 
     @property
     def p(self) -> int:
@@ -616,29 +628,28 @@ def _wynn_epsilon(seq: Sequence[complex]) -> complex:
     return best
 
 
-def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
-    """Checkpointed partial sums + Wynn extrapolation, per jet coefficient.
+def _checkpoints(spec: PFQSpec, z: complex, cap: int):
+    """The partial sums at the term counts 64*2^j within `cap`, as jets.
 
-    Checkpoints sit at geometrically spaced term counts: boundary tails
-    decay algebraically (k^(-sigma-ish)), and geometric spacing turns
-    them into linearly convergent sequences the epsilon algorithm
-    handles well.
+    Boundary tails decay algebraically, like n^(-sigma), and the
+    geometric spacing turns them into linearly convergent sequences.
     """
     # the last checkpoint 64*2^j within the cap; terms past it could
     # never reach another one
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
-    partials = (
-        _jet(s)
-        for n, s, _ in _partials(spec, z, limit)
-        # 64 * 2^j: a checkpoint
-        if n >= _FIRST_CHECKPOINT and not n & (n - 1)
-    )
+    for n, s, _ in _partials(spec, z, limit):
+        if n >= _FIRST_CHECKPOINT and not n & (n - 1):
+            yield _jet(s)
+
+
+def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
+    """Wynn extrapolation of the checkpoints, per jet coefficient."""
     width = spec.order + 1
     snapshots: list[Jet] = []
     prev_est: Optional[Jet] = None
-    for snap in partials:
+    for snap in _checkpoints(spec, z, cap):
         snapshots.append(snap)
         if len(snapshots) >= 4:
             cols = [
@@ -654,6 +665,46 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     raise ConvergenceError(
         "acceleration did not stabilize within %d terms for %s at %r"
         % (cap, spec.describe(), z)
+    )
+
+
+def _extrapolate_at_one(spec: PFQSpec, tol: float, cap: int) -> Jet:
+    """The sum at z = 1 by Richardson extrapolation with known exponents.
+
+    At z = 1 the term of a p = q+1 series behaves like k^(-sigma-1)
+    times a series in 1/k, so the tail after n terms is
+    n^(-sigma) (d0 + d1/n + ...), sigma the parameter excess.  On the
+    checkpoints n = 64*2^j level i removes the mode n^(-sigma-i) with
+    f_i = 2^(sigma+i): T_j^(i+1) = (f_i T_(j+1)^i - T_j^i) / (f_i - 1)
+    (A. Sidi, Practical Extrapolation Methods, 2003, ch. 1-2).  The
+    table runs in jet arithmetic, so a jet excess is removed exactly.
+    Stops when the last two entries of the newest diagonal agree, from
+    the third checkpoint on.
+    """
+    sigma = spec.sigma
+    if sigma.is_scalar:
+        # a plain number, which jet arithmetic applies without promotion
+        sigma = sigma.value
+    # per level: f_i and 1 / (f_i - 1)
+    levels: list = []
+    # diag[i] = T_(j-i)^i for the newest checkpoint j
+    diag: list = []
+    for snap in _checkpoints(spec, 1.0 + 0j, cap):
+        new = [snap]
+        for i, old in enumerate(diag):
+            if i == len(levels):
+                f = 2.0 ** (sigma + i)
+                levels.append((f, 1.0 / (f - 1.0)))
+            f, inv = levels[i]
+            new.append((new[i] * f - old) * inv)
+        diag = new
+        if len(diag) >= 3:
+            est = diag[-1]
+            if _magnitude(est - diag[-2]) <= tol * max(1.0, _magnitude(est)):
+                return est
+    raise ConvergenceError(
+        "extrapolation did not stabilize within %d terms for %s at 1"
+        % (cap, spec.describe())
     )
 
 
@@ -738,7 +789,8 @@ def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
     """Value at argument 1 for p = q+1 with positive parameter excess.
 
     2F1 goes through the Gauss closed form in jets; everything wider is
-    summed directly under Wynn extrapolation.
+    summed directly and extrapolated by known-exponent Richardson on the
+    excess sigma, sigma+1, ... (`_extrapolate_at_one`).
     """
     if spec.p != spec.q + 1:
         raise SeriesError("argument 1 handling is for p = q+1 series")
@@ -759,7 +811,7 @@ def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
             * reciprocal_gamma_jet(c - a)
             * reciprocal_gamma_jet(c - b)
         )
-    return _accelerated_sum(spec, 1.0 + 0j, tol, AT_ONE_CAP)
+    return _extrapolate_at_one(spec, tol, AT_ONE_CAP)
 
 
 def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:

@@ -14,6 +14,7 @@ from .jets import DEFAULT_ORDER, Jet, _jet, as_jet, jet_exp, jet_inverse, jet_mu
 
 __all__ = [
     "PoleError",
+    "sinpi",
     "gamma",
     "digamma",
     "trigamma",
@@ -84,19 +85,47 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real)
 
 
+def sinpi(z: Scalar) -> complex:
+    """sin(pi z), accurate next to the integers where it vanishes.
+
+    The nearest integer r comes off first, which is exact in floating
+    point, so pi (z - r) carries no rounding of pi z: sin(pi z) is
+    (-1)^r sin(pi (z - r)).
+    """
+    z = complex(z)
+    r = round(z.real)
+    s = cmath.sin(math.pi * (z - r))
+    return -s if r % 2 else s
+
+
 def gamma(z: Scalar) -> complex:
-    """Complex Gamma function; raises PoleError at 0, -1, -2, ..."""
+    """Complex Gamma function; raises PoleError at 0, -1, -2, ...
+
+    Raises OverflowError where |Gamma(z)| is beyond the double range,
+    past about z = 171.6 on the real axis.
+    """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(z, "gamma")
     if z.real < 0.5:
         # reflection keeps the Lanczos sum on its accurate half-plane
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        return math.pi / (sinpi(z) * gamma(1.0 - z))
     a = _LANCZOS_C[0]
     for k in range(1, 15):
         a += _LANCZOS_C[k] / (z - 1.0 + k)
     t = z + (_LANCZOS_G - 0.5)
-    return math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * a
+    try:
+        out = math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * a
+    except OverflowError:
+        # t^(z - 1/2) alone leaves the double range from z = 143 on, where
+        # Gamma itself is still finite: half of the power on each side of
+        # e^(-t) keeps every partial product in range.  Only this
+        # fallback splits, so values below 143 keep their rounding
+        half = t ** ((z - 0.5) * 0.5)
+        out = math.sqrt(2.0 * math.pi) * half * cmath.exp(-t) * half * a
+    if not cmath.isfinite(out):
+        raise OverflowError("Gamma at %r is beyond the double range" % z)
+    return out
 
 
 def polygamma(n: int, z: Scalar) -> complex:
@@ -216,20 +245,25 @@ def digamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
 def reciprocal_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     """1/Gamma as a jet; finite even when the base value sits on a pole.
 
-    At z0 = -m the reciprocal has a simple zero, so the jet is built from
-    the reflection 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, whose factors
-    are regular there.
+    A jet with Re z0 < 1/2, and any jet on a pole, is built from the
+    reflection 1/Gamma(z) = sin(pi z) Gamma(1 - z) / pi, whose factors
+    are regular at the poles z0 = -m, where the reciprocal has a simple
+    zero.  Next to a pole the exponent of gamma_jet holds polygammas of
+    size n!/d^(n+1) that its exp would have to cancel; the reflection
+    has none.
     """
     if not isinstance(z, Jet):
         z = as_jet(z, order)
     z0 = z.coeffs[0]
-    if not _is_nonpositive_integer(z0):
+    if z0.real >= 0.5 or (z.is_scalar and not _is_nonpositive_integer(z0)):
+        # a constant jet has no Taylor terms to lose: the scalar gamma
+        # reflects accurately by itself
         return jet_inverse(gamma_jet(z))
     n = z.order
-    # sin(pi z) jet around the base
+    # sin(pi z) jet around the base; cos(pi z0) = sin(pi (z0 + 1/2))
     delta = _jet((0j,) + z.coeffs[1:])
-    s0 = cmath.sin(math.pi * z0)
-    c0 = cmath.cos(math.pi * z0)
+    s0 = sinpi(z0)
+    c0 = sinpi(z0 + 0.5)
     sin_jet = as_jet(0, n)
     dpow = as_jet(1, n)
     fact = 1.0

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .hyperize import CoeffStream, hypize, undo
 from .hypseries import PFQSpec, eval_at_one, eval_series
@@ -643,17 +644,39 @@ def group_rows(gid: int) -> List[CheckRow]:
     raise KeyError("no check group %r" % gid)
 
 
-def run_suite(suite: str = "all") -> List[CheckRow]:
+def run_suite(suite: str = "all", timings: Optional[dict] = None) -> List[CheckRow]:
+    """The rows of every group in `suite`, in group order.
+
+    With a `timings` dict, each group's wall time in ms is stored under
+    its number.
+    """
     if suite not in SUITES:
         raise KeyError("unknown suite %r; choose from %s" % (suite, sorted(SUITES)))
     rows: List[CheckRow] = []
     for gid in SUITES[suite]:
+        start = time.perf_counter()
         rows.extend(group_rows(gid))
+        if timings is not None:
+            timings[gid] = 1e3 * (time.perf_counter() - start)
     return rows
 
 
-def report_lines(rows: Sequence[CheckRow]) -> List[str]:
-    out = [row.line() for row in rows]
+def report_lines(
+    rows: Sequence[CheckRow], timings: Optional[dict] = None
+) -> List[str]:
+    """One line per row and a summary line.
+
+    With `timings` from run_suite, each row line also gives its margin
+    err/tol and each group ends with a line of its wall time in ms.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        if timings is None:
+            out.append(row.line())
+            continue
+        out.append("%s margin=%.1e" % (row.line(), row.error / row.tolerance))
+        if i + 1 == len(rows) or rows[i + 1].group != row.group:
+            out.append("TIME  %2d %.1f ms" % (row.group, timings[row.group]))
     failed = sum(1 for r in rows if not r.passed)
     out.append(
         "%d checks, %d failed" % (len(rows), failed)

@@ -1,0 +1,227 @@
+"""Write golden_pfq.json: reference values made with mpmath.
+
+Run from the repository root with mpmath installed:
+
+    python tests/data/make_golden_pfq.py
+
+mpmath is only needed here.  The tests read the JSON and never import
+it.  Every number is a jet: the list of Taylor coefficients c_0 .. c_n
+in the perturbation eps of one parameter, each as [re, im].
+
+Sections:
+- at_one: pFq at z = 1 for p = q+1.  Values come from mpmath's hyper.
+  Rows whose value has a closed form (zeta(2), zeta(3)) use that
+  instead.  A jet row perturbs one parameter.  Its Taylor coefficients
+  come from Cauchy's formula on a circle of radius r around the base,
+  c_k = mean over j of f(x0 + r w^j) (r w^j)^(-k) with w = e^(2 pi i/N),
+  which is exact up to (r/R)^N, R the distance to the nearest
+  singularity in that parameter (R >= 1 in every row here).
+- reciprocal_gamma: 1/Gamma(z0 + eps) to eps^4 next to the poles, by
+  mp.taylor (numerical differentiation at raised precision).
+- near_one: 2F1 close to z = 1 with an order-4 jet in a, by mp.taylor.
+
+Each reference is computed twice, at 20 and 30 digits, or for Cauchy's
+formula at 30 digits on two circles (r, N) = (0.15, 24) and (0.2, 28).
+The script stops if the two differ by more than 1e-17 relative.
+"""
+
+import json
+import sys
+import time
+from pathlib import Path
+
+import mpmath as mp
+
+OUT = Path(__file__).with_name("golden_pfq.json")
+
+# (label, upper, lower, jet (side, index, order) or None, tol)
+AT_ONE = [
+    # Thomae-range 3F2s: excess 0.6-1.6
+    ("thomae 1", [0.31, 0.55, 0.72], [1.21, 1.47], None, 1e-11),
+    ("thomae 2", [0.12, 0.38, 0.66], [1.04, 0.92], None, 1e-11),
+    ("thomae 3", [0.77, 0.24, 0.49], [1.63, 0.61], None, 1e-11),
+    ("thomae 4", [0.45, 0.45, 0.45], [1.5, 1.25], None, 1e-11),
+    ("thomae 5", [0.18, 0.71, 0.33], [1.33, 1.49], None, 1e-11),
+    ("thomae 6", [0.62, 0.58, 0.11], [1.79, 0.65], None, 1e-11),
+    ("thomae 7", [0.25, 0.5, 0.75], [1.1, 1.4], None, 1e-11),
+    ("thomae 8", [0.8, 0.8, 0.1], [1.7, 1.1], None, 1e-11),
+    # the Wynn route raised ConvergenceError on this one
+    ("wide 3F2", [2.4532, 1.6766, 1.7589], [1.9611, 4.2259], None, 1e-11),
+    ("excess 3", [0.5, 1.5, 2.5], [3.0, 4.5], None, 1e-11),
+    # excess 0.2-0.3
+    ("excess 0.2", [0.3, 0.5, 0.7], [1.1, 0.6], None, 1e-10),
+    ("excess 0.25", [0.6, 0.9, 1.2], [1.3, 1.65], None, 1e-10),
+    ("excess 0.3", [1.0, 1.0, 0.5], [1.4, 1.4], None, 1e-10),
+    ("excess 0.2 4F3", [0.3, 0.4, 0.5, 0.6], [1.0, 0.9, 0.1], None, 1e-10),
+    ("excess 0.25 complex", [0.4 + 0.3j, 0.6, 0.7 - 0.3j], [1.2, 0.75], None, 1e-10),
+    # integer excess
+    ("zeta(2)", [1.0, 1.0, 1.0], [2.0, 2.0], None, 1e-11),
+    ("zeta(3)", [1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0], None, 1e-11),
+    ("excess 2", [1.0, 1.0, 1.0], [2.0, 3.0], None, 1e-11),
+    ("excess 1 half", [0.5, 0.5, 0.5], [1.0, 1.0], None, 1e-11),
+    # complex parameters
+    ("complex 1", [0.3 + 0.5j, 0.3 - 0.5j, 0.8], [1.2, 1.5], None, 1e-11),
+    ("complex 2", [0.5j, 0.7, 0.9], [1.1 + 0.2j, 1.6], None, 1e-11),
+    ("complex 3", [0.2 + 1j, 0.4, 0.6], [1.3, 1.2 + 1j], None, 1e-11),
+    ("complex excess", [0.5, 0.5, 0.5], [1.2 + 0.7j, 1.3 - 0.2j], None, 1e-11),
+    # 4F3 and 5F4
+    ("4F3 1", [0.2, 0.4, 0.6, 0.8], [1.1, 1.3, 1.5], None, 1e-11),
+    ("4F3 2", [0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 1.5], None, 1e-11),
+    ("4F3 3", [1.5, 0.3, 0.9, 0.25], [2.0, 1.1, 1.2], None, 1e-11),
+    ("5F4 1", [0.1, 0.3, 0.5, 0.7, 0.9], [1.0, 1.2, 1.4, 1.6], None, 1e-11),
+    ("5F4 2", [0.5, 0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 1.0, 1.5], None, 1e-11),
+    ("5F4 3", [1.2, 0.6, 0.4, 0.3, 0.2], [1.5, 1.3, 0.8, 0.9], None, 1e-11),
+    # jets; the order-2 one raised ConvergenceError on the Wynn route
+    ("jet 2 upper", [0.4, 0.5, 0.6], [1.3, 1.4], ("upper", 0, 2), 1e-10),
+    ("jet 1 lower", [0.3, 0.7, 1.0], [1.5, 2.0], ("lower", 0, 1), 1e-10),
+    ("jet 1 4F3", [0.2, 0.4, 0.6, 0.8], [1.1, 1.3, 1.5], ("upper", 0, 1), 1e-10),
+    ("jet 2 zeta(2)", [1.0, 1.0, 1.0], [2.0, 2.0], ("upper", 0, 2), 1e-10),
+    ("jet 4 upper", [0.6, 0.7, 0.8], [1.5, 1.9], ("upper", 1, 4), 1e-9),
+    ("jet 4 lower", [0.5, 0.5, 0.5], [1.25, 1.5], ("lower", 1, 4), 1e-9),
+    ("jet 2 thomae", [0.31, 0.55, 0.72], [1.21, 1.47], ("lower", 0, 2), 1e-10),
+    ("jet 1 complex", [0.3 + 0.5j, 0.3 - 0.5j, 0.8], [1.2, 1.5], ("upper", 2, 1), 1e-10),
+    ("jet 1 5F4", [0.1, 0.3, 0.5, 0.7, 0.9], [1.0, 1.2, 1.4, 1.6], ("upper", 4, 1), 1e-10),
+]
+
+CLOSED = {
+    "zeta(2)": lambda: mp.zeta(2),
+    "zeta(3)": lambda: mp.zeta(3),
+}
+
+RGAMMA_BASES = [-0.99976, -2.5, -0.3, 0.2, -5.00001, -1.0 + 1e-9]
+
+# series seed 58, op 1339 of the benchmark: a near-one 2F1, order-4 jet in a
+NEAR_ONE = [
+    ("near-one jet 4", [2.2341790188461954, 0.13939992765864434],
+     [1.2344192842244488], 0.9893562395294302, ("upper", 0, 4), 1e-12),
+]
+
+
+def pair(x):
+    x = mp.mpc(x)
+    return [float(x.real), float(x.imag)]
+
+
+def cauchy_taylor(f, x0, order, radius, points, real):
+    """Taylor coefficients 0..order of f at x0 by the trapezoid rule.
+
+    `real` says f is real on the real axis, so f(conj x) = conj f(x).
+    """
+    x0 = mp.mpmathify(x0)
+    vals = {}
+    for j in range(points):
+        if real and j > points // 2:
+            vals[j] = mp.conj(vals[points - j])
+        else:
+            vals[j] = f(x0 + radius * mp.expjpi(mp.mpf(2 * j) / points))
+    out = []
+    for k in range(order + 1):
+        acc = mp.fsum(
+            vals[j] * mp.expjpi(mp.mpf(-2 * j * k) / points) for j in range(points)
+        )
+        out.append(acc / points / mp.mpf(radius) ** k)
+    return out
+
+
+def checked(make_lo, make_hi):
+    """Two computations of one reference; they must agree to 1e-17."""
+    lo = [mp.mpc(c) for c in make_lo()]
+    hi = [mp.mpc(c) for c in make_hi()]
+    scale = max([mp.mpf(1)] + [abs(c) for c in hi])
+    gap = max(abs(a - b) for a, b in zip(lo, hi)) / scale
+    if gap > mp.mpf(10) ** -17:
+        sys.exit("references disagree by %s" % mp.nstr(gap, 3))
+    return [pair(c) for c in hi]
+
+
+def at_two_precisions(make):
+    def at(dps):
+        with mp.workdps(dps):
+            return [mp.mpc(c) for c in make()]
+
+    return checked(lambda: at(20), lambda: at(30))
+
+
+def at_one_ref(label, upper, lower, jet):
+    if jet is None:
+        if label in CLOSED:
+            return at_two_precisions(lambda: [CLOSED[label]()])
+        return at_two_precisions(lambda: [mp.hyper(upper, lower, 1)])
+    side, idx, order = jet
+
+    def f(x):
+        ups = [mp.mpmathify(u) for u in upper]
+        lows = [mp.mpmathify(c) for c in lower]
+        (ups if side == "upper" else lows)[idx] = x
+        return mp.hyper(ups, lows, 1)
+
+    x0 = (upper if side == "upper" else lower)[idx]
+    real = all(complex(v).imag == 0 for v in upper + lower)
+
+    def on_circle(radius, points):
+        with mp.workdps(30):
+            coeffs = cauchy_taylor(f, x0, order, radius, points, real)
+            return [mp.mpc(c) for c in coeffs]
+
+    return checked(lambda: on_circle(0.15, 24), lambda: on_circle(0.2, 28))
+
+
+def near_one_ref(upper, lower, z, jet):
+    side, idx, order = jet
+
+    def f(x):
+        ups = [mp.mpmathify(u) for u in upper]
+        lows = [mp.mpmathify(c) for c in lower]
+        (ups if side == "upper" else lows)[idx] = x
+        return mp.hyp2f1(ups[0], ups[1], lows[0], mp.mpf(z))
+
+    x0 = mp.mpmathify((upper if side == "upper" else lower)[idx])
+    return at_two_precisions(lambda: mp.taylor(f, x0, order))
+
+
+def main():
+    rows = []
+    for label, upper, lower, jet, tol in AT_ONE:
+        start = time.time()
+        value = at_one_ref(label, upper, lower, jet)
+        rows.append({
+            "label": label,
+            "upper": [pair(u) for u in upper],
+            "lower": [pair(c) for c in lower],
+            "jet": list(jet) if jet else None,
+            "value": value,
+            "tol": tol,
+        })
+        print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    rgamma = []
+    for b in RGAMMA_BASES:
+        rgamma.append({
+            "base": b,
+            "value": at_two_precisions(
+                lambda: mp.taylor(mp.rgamma, mp.mpf(b), 4)
+            ),
+            "tol": 1e-14,
+        })
+    near = []
+    for label, upper, lower, z, jet, tol in NEAR_ONE:
+        near.append({
+            "label": label,
+            "upper": [pair(u) for u in upper],
+            "lower": [pair(c) for c in lower],
+            "z": z,
+            "jet": list(jet),
+            "value": near_one_ref(upper, lower, z, jet),
+            "tol": tol,
+        })
+    doc = {
+        "source": "mpmath %s, tests/data/make_golden_pfq.py" % mp.__version__,
+        "error": "max_k |got_k - ref_k| / max(1, max_k |ref_k|)",
+        "at_one": rows,
+        "reciprocal_gamma": rgamma,
+        "near_one": near,
+    }
+    OUT.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

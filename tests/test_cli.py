@@ -526,6 +526,34 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_timings_adds_margins_and_group_times(capsys):
+    code, plain, _ = run_cli(["verify", "--suite", "identities"], capsys)
+    code_t, timed, _ = run_cli(
+        ["verify", "--suite", "identities", "--timings"], capsys
+    )
+    assert code == code_t == 0
+    rows = [ln for ln in timed.splitlines() if not ln.startswith("TIME")]
+    times = [ln for ln in timed.splitlines() if ln.startswith("TIME")]
+    assert [re.match(r"TIME +(\d+) [\d.]+ ms$", ln).group(1) for ln in times] == [
+        "13", "14"
+    ]
+    # the default report is the timed one without margins and times
+    stripped = [re.sub(r" margin=\S+$", "", ln) for ln in rows]
+    assert "\n".join(stripped) + "\n" == plain
+    for ln in rows[:-1]:
+        err, tol, margin = re.search(
+            r"err=(\S+) tol=(\S+) .* margin=(\S+)$", ln
+        ).groups()
+        assert float(margin) == pytest.approx(float(err) / float(tol), rel=0.1)
+
+
+def test_integrate_gamma_overflow_is_rejected(capsys):
+    # Gamma(200) in the limit at -oo is beyond the double range
+    code, out, err = run_cli(["integrate", "1/(1+x^2)^200", "--to", "inf"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("rejected: ") and "double range" in err
+
+
 def test_catalog_lists_rows(capsys):
     code, out, _ = run_cli(["catalog"], capsys)
     assert code == 0

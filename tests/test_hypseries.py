@@ -22,6 +22,7 @@ from hypint.hypseries import (
     TermOverflowError,
     _accelerated_sum,
     _direct_sum,
+    _extrapolate_at_one,
     _partials,
     cancel_parameters,
     classify,
@@ -248,6 +249,8 @@ def test_gauss_form_matches_acceleration(a, b, excess):
     gamma_form = eval_at_one(spec).value
     wynn = _accelerated_sum(spec, 1.0 + 0j, 1e-12, 100_000).value
     assert gamma_form == pytest.approx(wynn, abs=1e-9)
+    richardson = _extrapolate_at_one(spec, 1e-12, 100_000).value
+    assert gamma_form == pytest.approx(richardson, abs=1e-9)
 
 
 def test_gelfond_constant():

@@ -17,6 +17,7 @@ from hypint.numkernel import (
     pochhammer,
     polygamma,
     reciprocal_gamma_jet,
+    sinpi,
     trigamma,
 )
 from hypint.oracle import quad_finite, quad_halfline
@@ -222,3 +223,33 @@ class TestGammaJet:
         rhs = gamma_jet(a) ** -1
         for k in range(4):
             assert abs(extract(k, lhs) - extract(k, rhs)) < 1e-12
+
+
+# -- sinpi and the edges of Gamma ------------------------------------------
+
+
+def test_sinpi_next_to_integers():
+    # pi (n + d) rounds by about 4e-16 absolute; sinpi keeps d exact
+    for n in (-5, -1, 0, 1, 2, 40):
+        for d in (1e-9, -2.4e-4, 0.3):
+            want = (-1) ** (n % 2) * math.sin(math.pi * d)
+            assert sinpi(n + d) == pytest.approx(want, rel=1e-15)
+    assert sinpi(-3.0) == 0 and sinpi(0.5) == 1 and sinpi(-0.5) == -1
+    z = 0.3 + 0.7j
+    assert sinpi(z) == pytest.approx(cmath.sin(math.pi * z), rel=1e-15)
+
+
+def test_gamma_next_to_poles():
+    # math.gamma is an independent real reference
+    for x in (-1 + 1e-9, -0.99976, -2.5, -5.00001):
+        assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-14)
+
+
+def test_gamma_up_to_the_double_limit():
+    for x in (143.0, 143.5, 160.25, 171.5):
+        assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-13)
+    assert gamma(143.5).real == pytest.approx(3.2203704817308e246, rel=1e-12)
+    with pytest.raises(OverflowError):
+        gamma(171.7)
+    with pytest.raises(OverflowError):
+        gamma(200.0)
