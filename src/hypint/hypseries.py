@@ -19,10 +19,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet
+from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet, jet_exp
 from .numkernel import (
     _is_nonpositive_integer,
     gamma_jet,
+    log_gamma_jet,
     pochhammer,
     reciprocal_gamma_jet,
 )
@@ -50,6 +51,16 @@ TERM_CAP = 1_000_000
 AT_ONE_CAP = 100_000
 _FIRST_CHECKPOINT = 64
 _BLOCK_CAP = 4096
+# |arg z| from which a sum on |z| = 1 goes to Levin's transform; closer
+# to z = 1 its weights amplify rounding past what Wynn's epsilon loses
+_LEVIN_MIN_ANGLE = 0.6
+# Levin's transform reads the terms t_0 .. t_40 and starts at s_10
+_LEVIN_START, _LEVIN_LAST = 10, 40
+# the longest terminating sum that a cancellation sends to exact rationals
+_EXACT_MAX_DEGREE = 1000
+# Wynn's pass runs again in longdouble when it ends within this many tol
+_WIDE_RETRY = 16
+_LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
 
 class SeriesError(Exception):
@@ -329,14 +340,20 @@ class _Terms:
     catastrophically, and at a zero base, as in 2F1(eps, eps; 1; z), it
     does not exist.  With scalar parameters only, L and M stay trivial
     and a block is t * cumprod(ratio); `scalar` says so up front.
+
+    With `wide`, T_k runs in numpy's longdouble, 64 mantissa bits on
+    x86, at about five times the cost.  In doubles each of its n ratios
+    adds a few roundings, and T_n drifts by about sqrt(n) ulp: 2e-14 by
+    term 65536.
     """
 
     # each term is the one before times a finite ratio
     running = True
 
     def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool,
-                 scalar: bool):
+                 scalar: bool, wide: bool = False):
         dtype = float if real else complex
+        self.dtype, self.kind = dtype, np.longdouble if wide else float
         cast = (lambda v: v.real) if real else complex
         width = spec.order + 1
         self.z, self.t = cast(z), cast(t)
@@ -379,7 +396,7 @@ class _Terms:
 
     def block(self, k0: int, m: int) -> np.ndarray:
         """Terms k0+1 .. k0+m as the rows of an (m, columns) array."""
-        k = np.arange(k0, k0 + m, dtype=float)
+        k = np.arange(k0, k0 + m, dtype=self.kind)
         r = self.z / (k + 1.0)
         logs = None
         for b, sign, coeffs, j0 in self.factors:
@@ -389,7 +406,7 @@ class _Terms:
             else:
                 r /= d
             if coeffs is not None:
-                w = 1.0 / d
+                w = (1.0 / d).astype(self.dtype, copy=False)
                 if j0 is not None and k0 <= j0 < k0 + m:
                     w[j0 - k0] = 0.0
                 part = (w[:, None] ** self.powers) @ coeffs
@@ -400,6 +417,7 @@ class _Terms:
             r[i] = ratio
         t = self.t * np.cumprod(r)
         self.t = t[-1]
+        t = t.astype(self.dtype, copy=False)
         if logs is None:
             return t[:, None]
         logs = self.log + np.cumsum(logs, axis=0)
@@ -427,7 +445,14 @@ def _sums(acc: list, overflow, k: int) -> tuple:
     return s
 
 
-def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
+def _is_real(spec: PFQSpec, z: complex) -> bool:
+    """True when z and every parameter coefficient are real."""
+    return z.imag == 0.0 and all(
+        x.imag == 0.0 for p in (*spec.upper, *spec.lower) for x in p.coeffs
+    )
+
+
+def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False):
     """Partial sums of the series, up to `limit` terms.
 
     Yields (n, S_n, stopped), with n the number of terms summed and S_n
@@ -436,7 +461,7 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     per-term recurrence, so a short series never touches numpy; a jet
     series starts from its first term alone.  _block_partials sums the
     rest from _Terms blocks.  With `tol`, the sum stops after two
-    consecutive tiny terms past the first.
+    consecutive tiny terms past the first.  `wide` goes to _Terms.
     """
 
     def overflow(k: int) -> TermOverflowError:
@@ -451,9 +476,7 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     # real inputs keep the terms in float, at a fraction of the cost of
     # complex: with zero imaginary parts complex * and / give the same
     # real parts, so the sums, the stop index and the overflow index agree
-    real = z.imag == 0.0 and all(
-        x.imag == 0.0 for p in (*spec.upper, *spec.lower) for x in p.coeffs
-    )
+    real = _is_real(spec, z)
     if scalar:
         a = [p.value for p in spec.upper]
         c = [p.value for p in spec.lower]
@@ -499,7 +522,7 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
         acc[0] = _ScalarSum(re, cre, im, cim)
     yield n, _sums(acc, overflow, n - 1), False
     if n < limit:
-        terms = _Terms(spec, z, t, real, scalar)
+        terms = _Terms(spec, z, t, real, scalar, wide)
         yield from _block_partials(terms, acc, n, limit, tol, 2, int(small), overflow)
 
 
@@ -593,10 +616,80 @@ def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     )
 
 
-def _sum_terminating(spec: PFQSpec, z: complex) -> Jet:
-    for _, s, _ in _partials(spec, z, spec.terminating_degree() + 1):
+def _sum_terminating(spec: PFQSpec, z: complex, tol: float) -> Jet:
+    """The polynomial's n+1 terms summed in floats.
+
+    A scalar sum of degree up to _EXACT_MAX_DEGREE whose cancellation
+    ratio sum|t_k| / |sum t_k| leaves less than tol of its 53 bits is
+    summed again exactly (`_exact_terminating`, whose cost grows like
+    n^2: 0.2 s at degree 1000); jets and longer sums keep the float sum.
+    """
+    n = spec.terminating_degree()
+    for _, s, _ in _partials(spec, z, n + 1):
         pass
+    if 0 < n <= _EXACT_MAX_DEGREE and spec.all_scalar:
+        # sum |t_k| by the term recurrence: a few terms in Python cost
+        # less than one numpy block
+        a = [p.value for p in spec.upper]
+        c = [p.value for p in spec.lower]
+        t = mag = 1.0
+        for k in range(n):
+            num = z
+            for ai in a:
+                num *= ai + k
+            den = k + 1.0
+            for ci in c:
+                den *= ci + k
+            t = t * num / den
+            mag += abs(t)
+        if mag * 2.0**-53 > tol * abs(s[0]):
+            return as_jet(_exact_terminating(spec, z, n), spec.order)
     return _jet(s)
+
+
+def _gaussian(x: complex) -> tuple:
+    """x as (re, im, d): Gaussian integer re + i im over d > 0, exactly.
+
+    A double is a dyadic rational, so Fraction(x) loses nothing.
+    """
+    re, im = Fraction(x.real), Fraction(x.imag)
+    d = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator),
+            im.numerator * (d // im.denominator), d)
+
+
+def _exact_terminating(spec: PFQSpec, z: complex, n: int) -> complex:
+    """The sum of terms 0 .. n in exact rational arithmetic, rounded once.
+
+    The term ratio at k is r_k = u_k / v_k with Gaussian integers u_k
+    and v_k.  Nested from the inside, 1 + r_0 (1 + r_1 (... r_(n-1))),
+    the sum stays one quotient P/Q of Gaussian integers, with no gcd
+    until the last division.
+    """
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    zg = _gaussian(z)
+    ups = [_gaussian(a.value) for a in spec.upper]
+    lows = [_gaussian(c.value) for c in spec.lower]
+    p, q = (1, 0), (1, 0)
+    for k in range(n - 1, -1, -1):
+        u, v = (zg[0], zg[1]), (zg[2] * (k + 1), 0)
+        for re, im, d in ups:
+            u = mul(u, (re + k * d, im))
+            v = (v[0] * d, v[1] * d)
+        for re, im, d in lows:
+            u = (u[0] * d, u[1] * d)
+            v = mul(v, (re + k * d, im))
+        # P/Q <- 1 + (u/v)(P/Q) = (vQ + uP) / (vQ)
+        vq = mul(v, q)
+        up = mul(u, p)
+        p, q = (vq[0] + up[0], vq[1] + up[1]), vq
+    # P/Q = P conj(Q) / |Q|^2
+    norm = q[0] * q[0] + q[1] * q[1]
+    return complex(Fraction(p[0] * q[0] + p[1] * q[1], norm),
+                   Fraction(p[1] * q[0] - p[0] * q[1], norm))
 
 
 def _wynn_epsilon(seq: Sequence[complex]) -> complex:
@@ -628,43 +721,140 @@ def _wynn_epsilon(seq: Sequence[complex]) -> complex:
     return best
 
 
-def _checkpoints(spec: PFQSpec, z: complex, cap: int):
+def _checkpoints(spec: PFQSpec, z: complex, cap: int, wide: bool = False):
     """The partial sums at the term counts 64*2^j within `cap`, as jets.
 
     Boundary tails decay algebraically, like n^(-sigma), and the
     geometric spacing turns them into linearly convergent sequences.
+    `wide` runs the term ratios in longdouble (see _Terms).
     """
     # the last checkpoint 64*2^j within the cap; terms past it could
     # never reach another one
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
-    for n, s, _ in _partials(spec, z, limit):
+    for n, s, _ in _partials(spec, z, limit, wide=wide):
         if n >= _FIRST_CHECKPOINT and not n & (n - 1):
             yield _jet(s)
 
 
 def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
-    """Wynn extrapolation of the checkpoints, per jet coefficient."""
+    """Wynn extrapolation of the checkpoints, per jet coefficient.
+
+    Stops when two consecutive estimates agree within tol * max(1, |.|).
+    The table amplifies the rounding of the checkpoints a hundredfold
+    and more, and in doubles their terms drift by about sqrt(n) ulp, so
+    a pass can settle just short of a tol near 1e-12, as at z = 1 for
+    2F1(0.898, 0.898; 2.145).  A pass whose last two estimates came
+    within _WIDE_RETRY * tol runs again with the term ratios in
+    longdouble; one that ended further off did not settle, and a second
+    pass would double the cost of the error it raises.
+    """
     width = spec.order + 1
-    snapshots: list[Jet] = []
-    prev_est: Optional[Jet] = None
-    for snap in _checkpoints(spec, z, cap):
-        snapshots.append(snap)
-        if len(snapshots) >= 4:
-            cols = [
-                _wynn_epsilon([s.coeffs[m] for s in snapshots])
-                for m in range(width)
-            ]
-            est = _jet(tuple(cols))
-            if prev_est is not None:
-                scale = max(1.0, _magnitude(est))
-                if _magnitude(est - prev_est) <= tol * scale:
-                    return est
-            prev_est = est
+    for wide in (False, True) if _LONGDOUBLE_IS_WIDER else (False,):
+        snapshots: list[Jet] = []
+        prev_est: Optional[Jet] = None
+        move = math.inf
+        for snap in _checkpoints(spec, z, cap, wide):
+            snapshots.append(snap)
+            if len(snapshots) >= 4:
+                cols = [
+                    _wynn_epsilon([s.coeffs[m] for s in snapshots])
+                    for m in range(width)
+                ]
+                est = _jet(tuple(cols))
+                if prev_est is not None:
+                    move = _magnitude(est - prev_est) / max(1.0, _magnitude(est))
+                    if move <= tol:
+                        return est
+                prev_est = est
+        if not move <= _WIDE_RETRY * tol:
+            break
     raise ConvergenceError(
         "acceleration did not stabilize within %d terms for %s at %r"
         % (cap, spec.describe(), z)
+    )
+
+
+@functools.cache
+def _levin_weights() -> np.ndarray:
+    """Row k: (-1)^j C(k,j) ((n0+1+j)/(n0+1+k))^(k-1) for j <= k, else 0."""
+    size = _LEVIN_LAST - _LEVIN_START + 1
+    out = np.zeros((size, size))
+    for k in range(size):
+        for j in range(k + 1):
+            out[k, j] = (-1) ** j * math.comb(k, j) * (
+                (_LEVIN_START + 1 + j) / (_LEVIN_START + 1 + k)
+            ) ** (k - 1)
+    out.setflags(write=False)
+    return out
+
+
+def _levin_sum(spec: PFQSpec, z: complex, tol: float) -> Jet:
+    """The sum on |z| = 1, z != 1, by Levin's u-transform of 41 terms.
+
+    Off z = 1 the term ratio tends to z and the tail after n terms is
+    z^n n^(-sigma) times a series in 1/n, the remainder the u-transform
+    models with omega_n = (n+1) t_n (D. Levin, Int. J. Comput. Math. B3,
+    1973; E. J. Weniger, Comput. Phys. Rep. 10, 1989, eq. 7.1-7).  Over
+    the window of partial sums s_n0 .. s_40, n0 = 10,
+
+        L_k = sum_j (-1)^j C(k,j) w_jk s_(n0+j) / omega_(n0+j)
+              / sum_j (-1)^j C(k,j) w_jk / omega_(n0+j),
+
+    w_jk = ((n0+1+j)/(n0+1+k))^(k-1).  Each jet coefficient is a series
+    of its own with its own omega; one whose last term is zero is
+    constant from there on, and its partial sum is its value.  Stops at
+    the first k >= 3 with |L_k - L_(k-1)| <= tol * max(1, |L_k|), |.|
+    the largest coefficient modulus, and raises ConvergenceError when no
+    k does or when the 41 terms cancel past double precision.  The
+    weights amplify rounding by about (2/|1-z|)^k, so near z = 1 the
+    caller sums by Wynn instead.
+    """
+    terms = _Terms(spec, z, 1.0, _is_real(spec, z), spec.all_scalar)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blk = terms.block(0, _LEVIN_LAST)
+    t = np.concatenate((np.eye(1, blk.shape[1], dtype=blk.dtype), blk))
+    finite = np.isfinite(t).all(axis=1)
+    if not finite.all():
+        raise _overflow(spec.describe(), z, int(np.argmin(finite)))
+    # L_k moves with a constant added to every s_n, so the window holds
+    # s_n - s_40 = -(t_(n+1) + ... + t_40): rounding then scales with
+    # the tail, not with the sum
+    after = np.cumsum(t[::-1], axis=0)[::-1]
+    last = after[0]
+    dev = -np.concatenate((after[_LEVIN_START + 1 :], np.zeros_like(t[:1])))
+    omega = t[_LEVIN_START:] * np.arange(_LEVIN_START + 1, _LEVIN_LAST + 2)[:, None]
+    # a column that ends the window on a zero term stays zero: all its
+    # terms past the first vanish (a nilpotent coefficient) or have
+    # underflowed
+    live = omega[-1] != 0
+    if not (omega[:, live] != 0).all():
+        raise ConvergenceError(
+            "a zero term in the Levin window of %s at %r" % (spec.describe(), z)
+        )
+    # row k is L_k
+    est = np.repeat(last[None, :], len(dev), axis=0)
+    weights = _levin_weights()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inv = 1.0 / omega[:, live]
+        est[:, live] += (weights @ (dev[:, live] * inv)) / (weights @ inv)
+    size = _row_norm(est)
+    diff = _row_norm(est[1:] - est[:-1])
+    for k in range(3, len(est)):
+        if diff[k - 1] <= tol * max(1.0, size[k]):
+            # the rounding of s_40 and of every s_n - s_40 is up to
+            # 2^-53 sum|t_i|; where the terms cancel that far, L_k can
+            # settle on a wrong value
+            if 2.0**-53 * np.abs(t).sum(axis=0).max() > tol * max(1.0, size[k]):
+                raise ConvergenceError(
+                    "the first %d terms of %s at %r cancel past double "
+                    "precision" % (_LEVIN_LAST + 1, spec.describe(), z)
+                )
+            return _jet(tuple(complex(c) for c in est[k]))
+    raise ConvergenceError(
+        "Levin's u-transform did not settle within %d terms for %s at %r"
+        % (_LEVIN_LAST + 1, spec.describe(), z)
     )
 
 
@@ -722,7 +912,7 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         return value_at_zero(spec)
     kind = _kind(spec)
     if kind is Kind.POLYNOMIAL:
-        return _sum_terminating(spec, z)
+        return _sum_terminating(spec, z, tol)
     if kind is Kind.ENTIRE:
         if spec.p == 1 and spec.q == 1 and z.real < 0.0:
             # Kummer, DLMF 13.2.39: 1F1(a;b;z) = e^z 1F1(b-a;b;-z).  Past
@@ -762,6 +952,8 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
             return eval_at_one(spec, tol)
         sigma = spec.sigma.value
         if sigma.real > 0:
+            if abs(cmath.phase(z)) >= _LEVIN_MIN_ANGLE:
+                return _levin_sum(spec, z, tol)
             return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
         raise DivergentError(
             "boundary argument %r needs positive parameter excess, have %r"
@@ -801,15 +993,17 @@ def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
             % (spec.describe(), sigma.value.real)
         )
     if spec.terminating_degree() is not None:
-        return _sum_terminating(spec, 1.0 + 0j)
+        return _sum_terminating(spec, 1.0 + 0j, tol)
     if spec.p == 2:
         a, b = spec.upper
         c = spec.lower[0]
-        return (
-            gamma_jet(c)
+        return _gamma_quotient(
+            (c, c - a - b),
+            (c - a, c - b),
+            lambda: gamma_jet(c)
             * gamma_jet(c - a - b)
             * reciprocal_gamma_jet(c - a)
-            * reciprocal_gamma_jet(c - b)
+            * reciprocal_gamma_jet(c - b),
         )
     return _extrapolate_at_one(spec, tol, AT_ONE_CAP)
 
@@ -875,8 +1069,33 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
     rest = tuple(a for i, a in enumerate(ups) if i != im)
     num = spec.lower + tuple(a - alpha for a in rest)
     den = rest + tuple(c - alpha for c in spec.lower)
-    coeff = as_jet(1, spec.order)
-    # Gamma(a - alpha)/Gamma(a) per other upper a, then Gamma(c)/Gamma(c - alpha)
-    for g, r in zip(num[spec.q :] + num[: spec.q], den):
-        coeff = coeff * gamma_jet(g) * reciprocal_gamma_jet(r)
-    return AsymptoticTerm(alpha, coeff, num, den)
+
+    def product() -> Jet:
+        coeff = as_jet(1, spec.order)
+        # Gamma(a - alpha)/Gamma(a) per other upper a, then Gamma(c)/Gamma(c - alpha)
+        for g, r in zip(num[spec.q :] + num[: spec.q], den):
+            coeff = coeff * gamma_jet(g) * reciprocal_gamma_jet(r)
+        return coeff
+
+    return AsymptoticTerm(alpha, _gamma_quotient(num, den, product), num, den)
+
+
+def _gamma_quotient(num: tuple, den: tuple, product) -> Jet:
+    """prod Gamma(num) / prod Gamma(den) as `product()` forms it.
+
+    Where a factor or the product leaves the double range, the quotient
+    is exp(sum log Gamma(num) - sum log Gamma(den)) instead.  A product
+    that is finite keeps its rounding.
+    """
+    try:
+        out = product()
+        if all(map(cmath.isfinite, out.coeffs)):
+            return out
+    except OverflowError:
+        pass
+    logs = as_jet(0, num[0].order)
+    for g in num:
+        logs = logs + log_gamma_jet(g)
+    for r in den:
+        logs = logs - log_gamma_jet(r)
+    return jet_exp(logs)

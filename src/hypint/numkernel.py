@@ -20,6 +20,8 @@ __all__ = [
     "trigamma",
     "polygamma",
     "gamma_jet",
+    "log_gamma",
+    "log_gamma_jet",
     "digamma_jet",
     "pochhammer",
     "reciprocal_gamma_jet",
@@ -209,9 +211,14 @@ def gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
         raise PoleError(z0, "gamma_jet")
     if z.is_scalar:
         return as_jet(gamma(z0), z.order)
+    return jet_exp(_log_gamma_taylor(z)) * gamma(z0)
+
+
+def _log_gamma_taylor(z: Jet) -> Jet:
+    """log Gamma(z) - log Gamma(z0): sum of psi^(m-1)(z0) d^m / m!, m >= 1."""
     n = z.order
     delta = _jet((0j,) + z.coeffs[1:])
-    psi = _polygammas(z0, range(n))
+    psi = _polygammas(z.coeffs[0], range(n))
     expo = as_jet(0, n)
     dpow = as_jet(1, n)
     fact = 1.0
@@ -219,7 +226,33 @@ def gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
         dpow = jet_mul(dpow, delta)
         fact *= m
         expo = expo + dpow * (psi[m - 1] / fact)
-    return jet_exp(expo) * gamma(z0)
+    return expo
+
+
+def log_gamma(z: Scalar) -> complex:
+    """A logarithm of Gamma(z), finite far past Gamma's double range.
+
+    The branch is unspecified: it serves quotients of Gammas formed as
+    exp of sums of logarithms, where multiples of 2 pi i drop out.
+    Raises PoleError at 0, -1, -2, ...
+    """
+    z = complex(z)
+    if _is_nonpositive_integer(z):
+        raise PoleError(z, "log_gamma")
+    if z.real < 0.5:
+        return math.log(math.pi) - cmath.log(sinpi(z)) - log_gamma(1.0 - z)
+    a = _LANCZOS_C[0]
+    for k in range(1, 15):
+        a += _LANCZOS_C[k] / (z - 1.0 + k)
+    t = z + (_LANCZOS_G - 0.5)
+    return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(a)
+
+
+def log_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
+    """log Gamma of a jet, on log_gamma's branch at the base value."""
+    if not isinstance(z, Jet):
+        z = as_jet(z, order)
+    return _log_gamma_taylor(z) + log_gamma(z.coeffs[0])
 
 
 def digamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:

@@ -19,6 +19,9 @@ Sections:
 - reciprocal_gamma: 1/Gamma(z0 + eps) to eps^4 next to the poles, by
   mp.taylor (numerical differentiation at raised precision).
 - near_one: 2F1 close to z = 1 with an order-4 jet in a, by mp.taylor.
+- circle: 2F1, 3F2 and 4F3 on |z| = 1 off z = 1, by mpmath's hyper;
+  jets by Cauchy's formula as for at_one.  Rows marked `raises` are
+  beyond the engine's reach and must end in a typed SeriesError.
 
 Each reference is computed twice, at 20 and 30 digits, or for Cauchy's
 formula at 30 digits on two circles (r, N) = (0.15, 24) and (0.2, 28).
@@ -26,6 +29,7 @@ The script stops if the two differ by more than 1e-17 relative.
 """
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -97,6 +101,65 @@ NEAR_ONE = [
 ]
 
 
+# pFq on |z| = 1 off z = 1, at z = e^(i theta) rounded to doubles; theta
+# None is z = -1.  (label, upper, lower, theta, jet or None, tol, raises).
+# A jet's index may be a list: the same eps is added to each of those
+# parameters.  `raises` rows are beyond the engine's reach and must end
+# in a typed SeriesError.
+CIRCLE = [
+    # the scalar and its jets in a; order 2 at e^(2i) as well
+    ("2F1 e^i", [0.3, 0.7], [1.4], 1.0, None, 1e-10, False),
+    ("2F1 e^i jet 1", [0.3, 0.7], [1.4], 1.0, ("upper", 0, 1), 1e-9, False),
+    ("2F1 e^i jet 2", [0.3, 0.7], [1.4], 1.0, ("upper", 0, 2), 1e-9, False),
+    ("2F1 e^i jet 4", [0.3, 0.7], [1.4], 1.0, ("upper", 0, 4), 1e-9, False),
+    ("2F1 e^2i jet 2", [0.3, 0.7], [1.4], 2.0, ("upper", 0, 2), 1e-9, False),
+    # 2F1(eps, eps; 1; i) = 1 + Li2(i) eps^2 + ...: every term past the
+    # first has zero constant and eps parts
+    ("dilog i", [0.0, 0.0], [1.0], math.pi / 2, ("upper", [0, 1], 2), 1e-9, False),
+    # 2F1, excess 0.02-4
+    ("2F1 excess 0.02", [0.5, 0.7], [1.22], 1.2, None, 1e-10, False),
+    ("2F1 excess 0.02 at the cut", [0.5, 0.7], [1.22], 0.6, None, 1e-10, False),
+    ("2F1 excess 0.02 lower half", [1.3, 0.4], [1.72], -2.0, None, 1e-10, False),
+    ("2F1 excess 0.4", [2.1, 0.6], [3.1], 2.5, None, 1e-10, False),
+    ("2F1 excess 1", [0.25, 1.75], [3.0], -0.8, None, 1e-10, False),
+    ("2F1 excess 4", [2.1, 1.3], [7.4], 2.9, None, 1e-10, False),
+    # 3F2, excess 0.02-4
+    ("3F2 -1 excess 0.02", [0.5, 0.5, 0.5], [1.0, 0.52], None, None, 1e-10, False),
+    ("3F2 -1 excess 0.5", [1.2, 0.8, 0.6], [1.4, 1.7], None, None, 1e-10, False),
+    ("3F2 excess 0.3", [0.5, 0.7, 1.2], [1.3, 1.4], 0.6, None, 1e-10, False),
+    ("3F2 excess 0.75", [2.3, 1.6, 1.0], [3.65, 2.0], -2.5, None, 1e-10, False),
+    ("3F2 excess 2", [1.1, 0.9, 1.7], [2.2, 3.5], 1.5, None, 1e-10, False),
+    ("3F2 excess 4", [0.4, 1.9, 2.2], [3.5, 5.0], -3.0, None, 1e-10, False),
+    ("3F2 catalan", [1.0, 1.0, 1.0], [2.0, 2.0], math.pi / 2, None, 1e-10, False),
+    ("3F2 -1 jet 2", [1.0, 1.0, 1.0], [2.0, 2.0], None, ("upper", 2, 2), 1e-9, False),
+    # 4F3
+    ("4F3 excess 0.02", [0.3, 0.5, 0.7, 0.9], [1.1, 1.2, 0.12], -2.2, None, 1e-10, False),
+    ("4F3 excess 0.1", [0.3, 0.5, 0.7, 0.9], [1.1, 1.2, 0.2], 1.0, None, 1e-10, False),
+    ("4F3 -1 excess 3", [0.5, 1.5, 1.0, 2.0], [2.5, 3.0, 2.5], None, None, 1e-10, False),
+    # complex parameters
+    ("2F1 complex", [0.3 + 0.5j, 0.7], [1.4 - 0.2j], 1.2, None, 1e-10, False),
+    ("3F2 complex", [0.4 + 0.3j, 0.6, 0.7 - 0.3j], [1.2, 1.1], -2.0, None, 1e-10, False),
+    ("4F3 complex", [0.2 + 1.0j, 0.4, 0.6, 0.8], [1.3, 1.2 + 1.0j, 0.9], 3.0, None, 1e-10, False),
+    # parameters up to 40
+    ("2F1 large", [20.0, 6.0], [30.0], 2.4, None, 1e-9, False),
+    ("2F1 large upper", [40.0, 3.0], [45.0], -1.5, None, 1e-9, False),
+    ("2F1 large lower", [3.5, 7.0], [40.0], -1.0, None, 1e-9, False),
+    ("3F2 large", [25.0, 10.0, 5.0], [20.0, 21.0], -2.7, None, 1e-9, False),
+    ("3F2 large 2", [33.0, 0.5, 7.0], [38.0, 4.0], 2.2, None, 1e-9, False),
+    ("4F3 large", [4.0, 9.0, 16.0, 3.0], [30.0, 4.5, 3.0], 1.8, None, 1e-9, False),
+    # |arg z| < 0.6 and excess >= 2, where Wynn's epsilon sums
+    ("2F1 wynn 0.1", [0.8, 1.1], [4.9], 0.1, None, 1e-10, False),
+    ("3F2 wynn 0.2", [1.2, 0.7, 1.0], [3.4, 2.0], 0.2, None, 1e-10, False),
+    ("3F2 wynn -0.4", [0.6, 1.4, 0.9], [4.4, 2.0], -0.4, None, 1e-10, False),
+    ("4F3 wynn 0.3", [0.5, 0.5, 1.0, 1.5], [2.0, 1.5, 2.0], 0.3, None, 1e-10, False),
+    # beyond reach: Levin's 41 terms with parameters up to 40, and
+    # Wynn's epsilon on a slow tail close to z = 1
+    ("raises 2F1 large", [38.0, 35.0], [73.5], 2.5, None, 1e-9, True),
+    ("raises 3F2 large", [30.0, 36.0, 8.0], [40.0, 34.5], -1.2, None, 1e-9, True),
+    ("raises 2F1 wynn", [0.3, 0.7], [1.4], 0.3, None, 1e-10, True),
+]
+
+
 def pair(x):
     x = mp.mpc(x)
     return [float(x.real), float(x.imag)]
@@ -142,21 +205,25 @@ def at_two_precisions(make):
     return checked(lambda: at(20), lambda: at(30))
 
 
-def at_one_ref(label, upper, lower, jet):
+def hyper_ref(upper, lower, z, jet, real):
+    """mp.hyper at z, or with a jet its Taylor coefficients in eps.
+
+    The eps of the jet is added to each parameter it names.  `real` says
+    the function is real on the real eps axis (cauchy_taylor).
+    """
     if jet is None:
-        if label in CLOSED:
-            return at_two_precisions(lambda: [CLOSED[label]()])
-        return at_two_precisions(lambda: [mp.hyper(upper, lower, 1)])
+        return at_two_precisions(lambda: [mp.hyper(upper, lower, z)])
     side, idx, order = jet
+    idx = idx if isinstance(idx, list) else [idx]
 
     def f(x):
         ups = [mp.mpmathify(u) for u in upper]
         lows = [mp.mpmathify(c) for c in lower]
-        (ups if side == "upper" else lows)[idx] = x
-        return mp.hyper(ups, lows, 1)
+        for i in idx:
+            (ups if side == "upper" else lows)[i] = x
+        return mp.hyper(ups, lows, z)
 
-    x0 = (upper if side == "upper" else lower)[idx]
-    real = all(complex(v).imag == 0 for v in upper + lower)
+    x0 = (upper if side == "upper" else lower)[idx[0]]
 
     def on_circle(radius, points):
         with mp.workdps(30):
@@ -164,6 +231,13 @@ def at_one_ref(label, upper, lower, jet):
             return [mp.mpc(c) for c in coeffs]
 
     return checked(lambda: on_circle(0.15, 24), lambda: on_circle(0.2, 28))
+
+
+def at_one_ref(label, upper, lower, jet):
+    if jet is None and label in CLOSED:
+        return at_two_precisions(lambda: [CLOSED[label]()])
+    real = all(complex(v).imag == 0 for v in upper + lower)
+    return hyper_ref(upper, lower, 1, jet, real)
 
 
 def near_one_ref(upper, lower, z, jet):
@@ -213,12 +287,28 @@ def main():
             "value": near_one_ref(upper, lower, z, jet),
             "tol": tol,
         })
+    circle = []
+    for label, upper, lower, theta, jet, tol, raises in CIRCLE:
+        start = time.time()
+        z = -1.0 + 0j if theta is None else complex(math.cos(theta), math.sin(theta))
+        circle.append({
+            "label": label,
+            "upper": [pair(u) for u in upper],
+            "lower": [pair(c) for c in lower],
+            "z": pair(z),
+            "jet": list(jet) if jet else None,
+            "value": hyper_ref(upper, lower, mp.mpc(z), jet, False),
+            "tol": tol,
+            "raises": raises,
+        })
+        print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
     doc = {
         "source": "mpmath %s, tests/data/make_golden_pfq.py" % mp.__version__,
         "error": "max_k |got_k - ref_k| / max(1, max_k |ref_k|)",
         "at_one": rows,
         "reciprocal_gamma": rgamma,
         "near_one": near,
+        "circle": circle,
     }
     OUT.write_text(json.dumps(doc, indent=1) + "\n")
 

@@ -547,11 +547,14 @@ def test_verify_timings_adds_margins_and_group_times(capsys):
         assert float(margin) == pytest.approx(float(err) / float(tol), rel=0.1)
 
 
-def test_integrate_gamma_overflow_is_rejected(capsys):
-    # Gamma(200) in the limit at -oo is beyond the double range
+def test_integrate_past_the_gamma_double_range(capsys):
+    # Gamma(199.5) and Gamma(200) in the limit at -oo are beyond the
+    # double range, their quotient is not: sqrt(pi) Gamma(199.5) /
+    # (2 Gamma(200)), by mpmath
     code, out, err = run_cli(["integrate", "1/(1+x^2)^200", "--to", "inf"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("rejected: ") and "double range" in err
+    assert code == 0 and err == ""
+    value = float(re.match(r"value = (\S+)\n", out).group(1))
+    assert value == pytest.approx(0.0627835118562431, rel=1e-12)
 
 
 def test_catalog_lists_rows(capsys):

@@ -2,8 +2,9 @@
 
 tests/data/make_golden_pfq.py wrote the table; these tests only read it.
 The error of a jet is max_k |got_k - ref_k| / max(1, max_k |ref_k|).
-Every row here is within the engine's reach, so a row passes only with
-a value within its tolerance: a silent miss fails, and so does a typed
+A row passes only with a value within its tolerance: a silent miss
+fails, and so does a typed SeriesError.  The circle rows marked
+`raises` are beyond the engine's reach; they pass only with a typed
 SeriesError.
 """
 
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from hypint import hypseries
-from hypint.hypseries import PFQSpec, eval_at_one, eval_series
+from hypint.hypseries import PFQSpec, SeriesError, eval_at_one, eval_series
 from hypint.jets import eps
 from hypint.numkernel import reciprocal_gamma_jet
 
@@ -29,7 +30,8 @@ def _jet_params(row):
     if row["jet"]:
         side, idx, order = row["jet"]
         params = ups if side == "upper" else lows
-        params[idx] = params[idx] + eps(order)
+        for i in idx if isinstance(idx, list) else [idx]:
+            params[i] = params[i] + eps(order)
     return PFQSpec(tuple(ups), tuple(lows), order=order)
 
 
@@ -73,3 +75,15 @@ def test_reciprocal_gamma_near_poles(row):
 def test_near_one_golden(row):
     got = eval_series(_jet_params(row), row["z"])
     assert _error(got, row["value"]) <= row["tol"]
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["circle"], ids=[r["label"] for r in GOLDEN["circle"]]
+)
+def test_circle_golden(row):
+    spec, z = _jet_params(row), complex(*row["z"])
+    if row["raises"]:
+        with pytest.raises(SeriesError):
+            eval_series(spec, z)
+    else:
+        assert _error(eval_series(spec, z), row["value"]) <= row["tol"]

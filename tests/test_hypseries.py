@@ -6,9 +6,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
+from hypint import hypseries
 from hypint.jets import Jet, as_jet, eps, extract
 from hypint.hypseries import (
     TERM_CAP,
@@ -150,14 +151,31 @@ def test_arcsin_route():
     c=st.floats(min_value=0.3, max_value=3.0),
     z=st.floats(min_value=-8.0, max_value=8.0),
 )
+# cancellation ratios 6.4e4 and 2.9e4: the float sum alone misses
+@example(8, 2.25, 0.5, 1.4375)
+@example(8, 2.5113036661342525, 0.631312024720055, 1.497129437855211)
 def test_terminating_sum_is_exact(n, b, c, z):
     spec = PFQSpec((-float(n), b), (c,))
     got = eval_series(spec, z).value
-    term, total = 1.0, 1.0
+    # every double is a rational, so the exact sum is a fair reference
+    b, c, z = Fraction(b), Fraction(c), Fraction(z)
+    term = total = Fraction(1)
     for k in range(n):
         term *= (-n + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
-    assert got == pytest.approx(total, rel=1e-12, abs=1e-12)
+    assert got == pytest.approx(float(total), rel=1e-12, abs=1e-12)
+
+
+def test_terminating_complex_cancellation_is_summed_exactly():
+    # Chu-Vandermonde, DLMF 15.4.24: 2F1(-n, b; c; 1) = (c-b)_n / (c)_n.
+    # The terms reach 5e17 for a sum of 4e-10, past what floats can
+    # cancel, so the sum is taken again in Gaussian rationals
+    n, b, c = 30, 20.5 + 0.25j, 1.5 - 0.5j
+    want = 1.0
+    for k in range(n):
+        want *= (c - b + k) / (c + k)
+    got = eval_series(PFQSpec((-float(n), b), (c,), order=0), 1.0).value
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_divergent_outside_disk():
@@ -238,12 +256,20 @@ def test_at_one_terminating_shortcut():
     assert eval_at_one(spec).value == pytest.approx(want, rel=1e-14)
 
 
+def test_gauss_product_past_the_double_range():
+    # Gamma(172) alone is beyond the double range; the value is mpmath's
+    got = eval_at_one(PFQSpec((0.5, 0.5), (172.0,), order=0)).value
+    assert got == pytest.approx(1.00146305544372406, rel=1e-13)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a=st.floats(min_value=0.05, max_value=1.2),
     b=st.floats(min_value=0.05, max_value=1.2),
     excess=st.floats(min_value=0.35, max_value=1.5),
 )
+# Wynn on double-precision checkpoints settles 1.4 tol short here
+@example(0.8977469295514937, 0.8977469295514937, 0.35)
 def test_gauss_form_matches_acceleration(a, b, excess):
     spec = PFQSpec((a, b), (a + b + excess,))
     gamma_form = eval_at_one(spec).value
@@ -430,11 +456,55 @@ def test_three_f_two_at_one_by_wynn(a, b, c):
 
 
 def test_slow_boundary_tail_still_hits_the_cap():
-    # sigma = 0.4 on |z| = 1 off the axis: Wynn never settles
-    with pytest.raises(ConvergenceError):
-        eval_series(PFQSpec((0.3, 0.7), (1.4,), order=0), cmath.exp(1j))
+    # sigma = 0.4 on |z| = 1 off the axis, where Wynn never settled and
+    # Levin's transform does; the value is mpmath's hyp2f1
+    got = eval_series(PFQSpec((0.3, 0.7), (1.4,), order=0), cmath.exp(1j)).value
+    assert abs(got - (1.01358413141931514 + 0.16257211063871020j)) <= 1e-12
     with pytest.raises(ConvergenceError, match="300 terms"):
         _direct_sum(PFQSpec((0.3, 0.7), (1.4,), order=0), 0.99 + 0j, 1e-12, 300)
+
+
+@pytest.mark.parametrize(
+    "upper, lower, z",
+    [
+        ((0.3, 0.7), (1.4,), cmath.exp(1j)),
+        ((1.0, 1.0, 1.0), (2.0, 2.0), -1.0),
+        ((0.3 + eps(2), 0.7), (1.4,), cmath.exp(2j)),
+        ((eps(2), eps(2)), (1.0,), 1j),
+        ((0.5, 0.7), (1.22,), cmath.exp(0.6j)),
+        # these two raise: parameters up to 40
+        ((38.0, 35.0), (73.5,), cmath.exp(2.5j)),
+        ((30.0, 36.0, 8.0), (40.0, 34.5), cmath.exp(-1.2j)),
+    ],
+    ids=["2F1 e^i", "3F2 -1", "jet 2 e^2i", "dilog i", "at the cut", "raises 2F1",
+         "raises 3F2"],
+)
+def test_unit_circle_asks_for_at_most_64_terms(monkeypatch, upper, lower, z):
+    # no loop grinds up to a term cap on |z| = 1 with |arg z| >= 0.6,
+    # whether the call returns or raises
+    asked = []
+    block = hypseries._Terms.block
+
+    def record(self, k0, m):
+        asked.append((k0, m))
+        return block(self, k0, m)
+
+    monkeypatch.setattr(hypseries._Terms, "block", record)
+    try:
+        eval_series(PFQSpec(upper, lower), z)
+    except SeriesError:
+        pass
+    assert asked and sum(m for _, m in asked) <= 64
+
+
+def test_circle_terms_that_underflow_end_the_sum():
+    # t_1 = 1e-19 z and each later term is about 1e-15 times the one
+    # before: zero in floats long before term 40, and the terms past t_1
+    # add less than 1e-33
+    z = cmath.exp(2j)
+    got = eval_series(PFQSpec((0.1,) * 4, (1e5,) * 3, order=0), z).value
+    assert got.real == 1.0
+    assert got.imag == pytest.approx(1e-19 * z.imag, rel=1e-14)
 
 
 def test_exp_up_to_the_overflow_threshold():
@@ -676,6 +746,13 @@ def test_limit_gamma_product():
     want = math.gamma(2.0 / 3.0) * math.gamma(4.0 / 3.0)
     assert term.exponent.value == pytest.approx(1.0 / 3.0)
     assert term.coefficient.value == pytest.approx(want, rel=1e-13)
+
+
+def test_limit_gamma_product_past_the_double_range():
+    # Gamma(3/2) Gamma(199.5) / Gamma(200), by mpmath; both large Gammas
+    # are beyond the double range
+    term = limit_at_minus_infinity(PFQSpec((200.0, 0.5), (1.5,)))
+    assert term.coefficient.value == pytest.approx(0.0627835118562431, rel=1e-12)
 
 
 @pytest.mark.parametrize(
