@@ -12,6 +12,7 @@ from .hypseries import (
     DivergentError,
     LimitConditionError,
     PFQSpec,
+    PrecisionLossError,
     SeriesError,
     TermOverflowError,
     eval_at_one,
@@ -47,6 +48,7 @@ __all__ = [
     "DivergentError",
     "ConvergenceError",
     "TermOverflowError",
+    "PrecisionLossError",
     "LimitConditionError",
     "CoeffStream",
     "hypize",

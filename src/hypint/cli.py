@@ -753,7 +753,16 @@ def _real_node(e: Expr) -> Node:
         return lambda x: op(u(x), v(x))
     if isinstance(e, Pow):
         r = float(_lit_fraction(e.exponent))
-        return _apply(lambda t: math.pow(t, r), _real_node(e.base))
+
+        def power(t: float) -> float:
+            try:
+                return math.pow(t, r)
+            except OverflowError:
+                # past the double range: the signed infinity, so that a
+                # quotient by it is 0 (t < 0 has an integer r here)
+                return -math.inf if t < 0.0 and r % 2.0 == 1.0 else math.inf
+
+        return _apply(power, _real_node(e.base))
     if isinstance(e, Call) and e.fn in _LIBM:
         return _apply(_LIBM[e.fn], _real_node(e.arg))
     if isinstance(e, PFq):

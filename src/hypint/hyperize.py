@@ -108,7 +108,7 @@ class CoeffStream:
         terms = _StreamTerms(self, z, first.order if jet else None)
         acc = [_ScalarSum(c.real, 0.0, c.imag, 0.0)
                for c in (first.coeffs if jet else (complex(first),))]
-        for _, s, stopped in _block_partials(
+        for _, s, _, stopped in _block_partials(
             terms, acc, 1, STREAM_CAP, tol, 4, 0,
             lambda k: _overflow(self.label, z, k),
         ):

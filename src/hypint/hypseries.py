@@ -33,6 +33,7 @@ __all__ = [
     "DivergentError",
     "ConvergenceError",
     "TermOverflowError",
+    "PrecisionLossError",
     "LimitConditionError",
     "Kind",
     "ConvergenceClass",
@@ -60,6 +61,8 @@ _LEVIN_START, _LEVIN_LAST = 10, 40
 _EXACT_MAX_DEGREE = 1000
 # Wynn's pass runs again in longdouble when it ends within this many tol
 _WIDE_RETRY = 16
+# the rounding of a float sum: up to this times sum|t_k|
+_ULP = 2.0**-53
 _LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
 
@@ -81,6 +84,10 @@ class TermOverflowError(SeriesError):
     def __init__(self, k: int, message: str):
         self.k = k
         super().__init__(message)
+
+
+class PrecisionLossError(SeriesError):
+    """The float sum cancels past double precision and no exact re-sum applies."""
 
 
 class LimitConditionError(SeriesError):
@@ -452,16 +459,20 @@ def _is_real(spec: PFQSpec, z: complex) -> bool:
     )
 
 
-def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False):
+def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False,
+              bound=None, count=False):
     """Partial sums of the series, up to `limit` terms.
 
-    Yields (n, S_n, stopped), with n the number of terms summed and S_n
-    the order+1 jet coefficients of the partial sum.  With scalar
-    parameters the first _FIRST_CHECKPOINT terms run through the
-    per-term recurrence, so a short series never touches numpy; a jet
-    series starts from its first term alone.  _block_partials sums the
-    rest from _Terms blocks.  With `tol`, the sum stops after two
-    consecutive tiny terms past the first.  `wide` goes to _Terms.
+    Yields (n, S_n, mag, stopped), with n the number of terms summed,
+    S_n the order+1 jet coefficients of the partial sum and, with
+    `count` or `bound`, mag the sum of |t_k| over those terms, |.| the
+    largest coefficient modulus; otherwise mag is None, and the blocks
+    skip the work.  With scalar parameters the first _FIRST_CHECKPOINT
+    terms run through the per-term recurrence, so a short series never
+    touches numpy; a jet series starts from its first term alone.
+    _block_partials sums the rest from _Terms blocks.  With `tol`, the
+    sum stops after two consecutive tiny terms past the first, tiny as
+    _block_partials says with `bound`.  `wide` goes to _Terms.
     """
 
     def overflow(k: int) -> TermOverflowError:
@@ -472,6 +483,10 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False):
     small = False
     t = 1.0 + 0j
     n = 1
+    mag = 1.0
+    # the head sums |t_k| anyway; the blocks only where it is asked for
+    # or where it bounds a stop
+    track = count or bound is not None
     scalar = spec.all_scalar
     # real inputs keep the terms in float, at a fraction of the cost of
     # complex: with zero imaginary parts complex * and / give the same
@@ -500,6 +515,8 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False):
             t = t * num / den
             if not isfinite(t):
                 raise overflow(k)
+            at = abs(t)
+            mag += at
             x = t.real
             u = re + x
             cre += (re - u) + x if abs(re) >= abs(x) else (x - u) + re
@@ -510,39 +527,64 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False):
                 cim += (im - u) + x if abs(im) >= abs(x) else (x - u) + im
                 im = u
             if tol is not None:
-                size = abs(re + cre) if real else abs(complex(re + cre, im + cim))
-                if abs(t) <= tol * max(1.0, size):
+                scale = tol * max(
+                    1.0, abs(re + cre) if real else abs(complex(re + cre, im + cim))
+                )
+                if at <= scale and (bound is None or _tail_tiny(at, scale, k, bound)):
                     if small:
-                        acc[0] = _ScalarSum(re, cre, im, cim)
-                        yield k + 1, _sums(acc, overflow, k), True
-                        return
+                        if bound is None or mag * _ULP <= scale:
+                            acc[0] = _ScalarSum(re, cre, im, cim)
+                            yield (k + 1, _sums(acc, overflow, k),
+                                   mag if track else None, True)
+                            return
+                        # the terms cancel past double precision: no stop
+                        tol = None
                     small = True
                 else:
                     small = False
         acc[0] = _ScalarSum(re, cre, im, cim)
-    yield n, _sums(acc, overflow, n - 1), False
+    if not track:
+        mag = None
+    yield n, _sums(acc, overflow, n - 1), mag, False
     if n < limit:
         terms = _Terms(spec, z, t, real, scalar, wide)
-        yield from _block_partials(terms, acc, n, limit, tol, 2, int(small), overflow)
+        yield from _block_partials(terms, acc, n, limit, tol, 2, int(small),
+                                   overflow, mag, bound)
+
+
+def _tail_tiny(size, scale, k, bound):
+    """Whether |t_k| r_k / (1 - r_k) <= scale, r_k = |z| (1 + g/k).
+
+    `bound` is (|z|, g); numbers or numpy arrays alike.
+    """
+    r = bound[0] * (1.0 + bound[1] / k)
+    return size * r <= scale * (1.0 - r)
 
 
 def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
-                    small: int, overflow):
+                    small: int, overflow, mag: Optional[float] = None,
+                    bound=None):
     """Partial sums over the blocks of a term source, up to `limit` terms.
 
     `terms.block(k0, m)` gives terms k0+1 .. k0+m as the rows of an
     array with one column per jet coefficient; a float array promises
     that every term so far was real.  `acc` holds the compensated sums
-    of the first n terms.  Blocks end at 64 terms, then double in length
-    up to _BLOCK_CAP, so every power-of-two count from 64 on ends a
-    block.  Each coefficient of each block is added exactly with
+    of the first n terms and `mag` the sum of their |t_k|, |.| the
+    largest coefficient modulus, or None to leave it untracked.  Blocks end at 64 terms, then double in
+    length up to _BLOCK_CAP, so every power-of-two count from 64 on ends
+    a block.  Each coefficient of each block is added exactly with
     math.fsum, and the block sums are compensated across blocks.  Yields
-    (n, S_n, stopped) after each block.
+    (n, S_n, mag, stopped) after each block.
 
-    With `tol`, the sum stops after `run` consecutive terms, the first
-    `small` of them carried in, each at most tol * max(1, |partial sum|),
-    |.| the largest coefficient modulus, and yields stopped=True.  A
-    non-finite term or partial sum raises overflow(k), k its index.
+    With `tol`, the sum stops after `run` consecutive tiny terms, the
+    first `small` of them carried in, and yields stopped=True.  A term
+    t_k is tiny when |t_k| <= tol * max(1, |S_k|).  With `bound` =
+    (|z|, g) the geometric tail it starts, |t_k| r_k / (1 - r_k) with
+    the term ratio bound r_k = |z| (1 + g/k), must be that small too,
+    and the sum stops only where its rounding, 2^-53 sum|t_k|, is that
+    small as well; a stop that fails this last test ends the stopping
+    for the rest of the sum.  A non-finite term or partial sum raises
+    overflow(k), k its index.
     """
     carry = np.ones(small, bool)
     while n < limit:
@@ -564,6 +606,7 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
             elif not np.isfinite(blk).all():
                 bad = int(np.argmin(np.isfinite(blk).all(axis=1)))
                 blk = blk[:bad]
+            norms = None if tol is None and mag is None else _row_norm(blk)
             stop = None
             if tol is not None:
                 now = np.array([s.value() for s in acc[: blk.shape[1]]])
@@ -573,8 +616,11 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
                 # a scale that makes every term look small
                 if size.size and not np.isfinite(size[-1]):
                     bad = int(np.argmin(np.isfinite(size)))
-                    blk, size = blk[:bad], size[:bad]
-                tiny = _row_norm(blk) <= tol * np.maximum(1.0, size)
+                    blk, size, norms = blk[:bad], size[:bad], norms[:bad]
+                scale = tol * np.maximum(1.0, size)
+                tiny = norms <= scale
+                if bound is not None and tiny.any():
+                    tiny &= _tail_tiny(norms, scale, np.arange(n, n + len(blk)), bound)
                 if tiny.any():
                     # ANDed shifted copies: hit[i] says entries i ..
                     # i+run-1 of the carried and new flags are all tiny
@@ -584,11 +630,16 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
                         hit = hit & ext[run - 1 - d :][: len(hit)]
                     if hit.any():
                         stop = int(np.argmax(hit)) + run - 1 - len(carry)
+                        if (bound is not None
+                                and (mag + norms[: stop + 1].sum()) * _ULP
+                                > scale[stop]):
+                            # the terms cancel past double precision
+                            tol = stop = None
                     carry = ext[1 - run :]
                 else:
                     carry = tiny[:0]
         if stop is not None:
-            blk = blk[: stop + 1]
+            blk, norms = blk[: stop + 1], norms[: stop + 1]
         elif bad is not None:
             raise overflow(n + bad)
         try:
@@ -602,13 +653,15 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
         except OverflowError:
             raise overflow(n + len(blk) - 1) from None
         n += len(blk)
-        yield n, _sums(acc, overflow, n - 1), stop is not None
+        if mag is not None:
+            mag += float(norms.sum())
+        yield n, _sums(acc, overflow, n - 1), mag, stop is not None
         if stop is not None:
             return
 
 
 def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
-    for _, s, stopped in _partials(spec, z, cap + 1, tol):
+    for _, s, _, stopped in _partials(spec, z, cap + 1, tol):
         if stopped:
             return _jet(s)
     raise ConvergenceError(
@@ -619,31 +672,23 @@ def _direct_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
 def _sum_terminating(spec: PFQSpec, z: complex, tol: float) -> Jet:
     """The polynomial's n+1 terms summed in floats.
 
-    A scalar sum of degree up to _EXACT_MAX_DEGREE whose cancellation
-    ratio sum|t_k| / |sum t_k| leaves less than tol of its 53 bits is
-    summed again exactly (`_exact_terminating`, whose cost grows like
-    n^2: 0.2 s at degree 1000); jets and longer sums keep the float sum.
+    A scalar sum whose cancellation ratio sum|t_k| / |sum t_k| leaves
+    less than tol of its 53 bits is summed again exactly
+    (`_exact_terminating`, whose cost grows like n^2: 0.2 s at degree
+    1000) up to degree _EXACT_MAX_DEGREE, and raises PrecisionLossError
+    beyond it; jets keep the float sum.
     """
     n = spec.terminating_degree()
-    for _, s, _ in _partials(spec, z, n + 1):
+    for _, s, mag, _ in _partials(spec, z, n + 1, count=True):
         pass
-    if 0 < n <= _EXACT_MAX_DEGREE and spec.all_scalar:
-        # sum |t_k| by the term recurrence: a few terms in Python cost
-        # less than one numpy block
-        a = [p.value for p in spec.upper]
-        c = [p.value for p in spec.lower]
-        t = mag = 1.0
-        for k in range(n):
-            num = z
-            for ai in a:
-                num *= ai + k
-            den = k + 1.0
-            for ci in c:
-                den *= ci + k
-            t = t * num / den
-            mag += abs(t)
-        if mag * 2.0**-53 > tol * abs(s[0]):
-            return as_jet(_exact_terminating(spec, z, n), spec.order)
+    if n > 0 and spec.all_scalar and mag * _ULP > tol * abs(s[0]):
+        if n > _EXACT_MAX_DEGREE:
+            raise PrecisionLossError(
+                "the %d terms of %s at %r cancel past double precision "
+                "(sum |t_k| = %.3g, sum = %.3g)"
+                % (n + 1, spec.describe(), z, mag, abs(s[0]))
+            )
+        return as_jet(_exact_terminating(spec, z, n), spec.order)
     return _jet(s)
 
 
@@ -721,52 +766,82 @@ def _wynn_epsilon(seq: Sequence[complex]) -> complex:
     return best
 
 
-def _checkpoints(spec: PFQSpec, z: complex, cap: int, wide: bool = False):
+def _checkpoints(spec: PFQSpec, z: complex, cap: int, wide: bool = False,
+                 tol=None, bound=None):
     """The partial sums at the term counts 64*2^j within `cap`, as jets.
 
-    Boundary tails decay algebraically, like n^(-sigma), and the
-    geometric spacing turns them into linearly convergent sequences.
-    `wide` runs the term ratios in longdouble (see _Terms).
+    Yields (S_n, False) at each checkpoint.  Boundary tails decay
+    algebraically, like n^(-sigma), and the geometric spacing turns them
+    into linearly convergent sequences.  With `tol` the plain sum may
+    stop first, as _block_partials says with `tol` and `bound`; it then
+    yields (S_n, True) and ends.  `wide` runs the term ratios in
+    longdouble (see _Terms).
     """
     # the last checkpoint 64*2^j within the cap; terms past it could
     # never reach another one
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
-    for n, s, _ in _partials(spec, z, limit, wide=wide):
-        if n >= _FIRST_CHECKPOINT and not n & (n - 1):
-            yield _jet(s)
+    for n, s, _, stopped in _partials(spec, z, limit, tol, wide, bound):
+        if stopped or (n >= _FIRST_CHECKPOINT and not n & (n - 1)):
+            yield _jet(s), stopped
 
 
 def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
-    """Wynn extrapolation of the checkpoints, per jet coefficient.
+    """The sum for |z| near or at 1, by the plain sum or by Wynn's epsilon.
 
-    Stops when two consecutive estimates agree within tol * max(1, |.|).
-    The table amplifies the rounding of the checkpoints a hundredfold
-    and more, and in doubles their terms drift by about sqrt(n) ulp, so
-    a pass can settle just short of a tol near 1e-12, as at z = 1 for
-    2F1(0.898, 0.898; 2.145).  A pass whose last two estimates came
-    within _WIDE_RETRY * tol runs again with the term ratios in
-    longdouble; one that ended further off did not settle, and a second
-    pass would double the cost of the error it raises.
+    One pass over the partial sums carries two stops and returns at
+    whichever settles first.  Inside the disk the plain sum stops where
+    the geometric tail after its last term is below tol * max(1, |S|),
+    with the term ratio bounded near the stopping index k by
+    r_k = |z| (1 + g/k), g = max(0, Re sum(a) - Re sum(b) - 1), and only
+    where the rounding 2^-53 sum|t_k| is below it too; a sum that fails
+    that floor cancels past double precision and runs on by Wynn alone
+    (F. Johansson, ACM TOMS 45, 2019, arXiv:1606.06977).  On |z| = 1
+    there is no such stop.
+
+    Wynn's epsilon extrapolates the checkpoints, per jet coefficient,
+    and stops when two consecutive estimates agree within
+    tol * max(1, |.|).  The table amplifies the rounding of the
+    checkpoints a hundredfold and more, and in doubles their terms drift
+    by about sqrt(n) ulp, so a pass can settle just short of a tol near
+    1e-12, as at z = 1 for 2F1(0.898, 0.898; 2.145).  A pass whose last
+    two estimates came within _WIDE_RETRY * tol runs again with the term
+    ratios in longdouble; one that ended further off did not settle, and
+    a second pass would double the cost of the error it raises.
     """
-    width = spec.order + 1
+
+    def estimate(snaps: list) -> Jet:
+        return _jet(tuple(
+            _wynn_epsilon([s.coeffs[m] for s in snaps])
+            for m in range(spec.order + 1)
+        ))
+
+    az = abs(z)
+    bound = None
+    if abs(az - 1.0) > 1e-14:
+        excess = (sum(a.value.real for a in spec.upper)
+                  - sum(c.value.real for c in spec.lower))
+        bound = (az, max(0.0, excess - 1.0))
     for wide in (False, True) if _LONGDOUBLE_IS_WIDER else (False,):
         snapshots: list[Jet] = []
         prev_est: Optional[Jet] = None
         move = math.inf
-        for snap in _checkpoints(spec, z, cap, wide):
+        for snap, stopped in _checkpoints(spec, z, cap, wide,
+                                          tol if bound else None, bound):
+            if stopped:
+                return snap
             snapshots.append(snap)
-            if len(snapshots) >= 4:
-                cols = [
-                    _wynn_epsilon([s.coeffs[m] for s in snapshots])
-                    for m in range(width)
-                ]
-                est = _jet(tuple(cols))
-                if prev_est is not None:
-                    move = _magnitude(est - prev_est) / max(1.0, _magnitude(est))
-                    if move <= tol:
-                        return est
+            # estimates start from 4 checkpoints; the first is formed
+            # when a second can be compared with it, so a plain sum that
+            # stops before the fifth checkpoint never runs the table
+            if len(snapshots) >= 5:
+                if prev_est is None:
+                    prev_est = estimate(snapshots[:-1])
+                est = estimate(snapshots)
+                move = _magnitude(est - prev_est) / max(1.0, _magnitude(est))
+                if move <= tol:
+                    return est
                 prev_est = est
         if not move <= _WIDE_RETRY * tol:
             break
@@ -846,7 +921,7 @@ def _levin_sum(spec: PFQSpec, z: complex, tol: float) -> Jet:
             # the rounding of s_40 and of every s_n - s_40 is up to
             # 2^-53 sum|t_i|; where the terms cancel that far, L_k can
             # settle on a wrong value
-            if 2.0**-53 * np.abs(t).sum(axis=0).max() > tol * max(1.0, size[k]):
+            if _ULP * np.abs(t).sum(axis=0).max() > tol * max(1.0, size[k]):
                 raise ConvergenceError(
                     "the first %d terms of %s at %r cancel past double "
                     "precision" % (_LEVIN_LAST + 1, spec.describe(), z)
@@ -879,7 +954,7 @@ def _extrapolate_at_one(spec: PFQSpec, tol: float, cap: int) -> Jet:
     levels: list = []
     # diag[i] = T_(j-i)^i for the newest checkpoint j
     diag: list = []
-    for snap in _checkpoints(spec, 1.0 + 0j, cap):
+    for snap, _ in _checkpoints(spec, 1.0 + 0j, cap):
         new = [snap]
         for i, old in enumerate(diag):
             if i == len(levels):
@@ -969,6 +1044,8 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         except SeriesError:
             return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
     if az >= 0.95:
+        # the plain sum to its tail bound, or Wynn's epsilon where that
+        # has not settled first
         return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
     # the term ratio of a unit-disk series tends to z, so the tail left
     # after the last summed term t is about |t| |z| / (1 - |z|): past

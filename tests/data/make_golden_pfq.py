@@ -22,12 +22,16 @@ Sections:
 - circle: 2F1, 3F2 and 4F3 on |z| = 1 off z = 1, by mpmath's hyper;
   jets by Cauchy's formula as for at_one.  Rows marked `raises` are
   beyond the engine's reach and must end in a typed SeriesError.
+- ring: 2F1, 3F2 and 4F3 at 0.95 <= |z| < 1, where the engine sums
+  plainly or by Wynn's epsilon, as for circle.  Where mpmath's
+  Euler-Maclaurin tail does not converge, its series is summed directly.
 
 Each reference is computed twice, at 20 and 30 digits, or for Cauchy's
 formula at 30 digits on two circles (r, N) = (0.15, 24) and (0.2, 28).
 The script stops if the two differ by more than 1e-17 relative.
 """
 
+import cmath
 import json
 import math
 import sys
@@ -160,6 +164,53 @@ CIRCLE = [
 ]
 
 
+# pFq at 0.95 <= |z| < 1, z = r e^(i theta) rounded to doubles.
+# (label, upper, lower, r, theta, jet or None, tol, raises), as for CIRCLE.
+RING = [
+    # 2F1 at all angles
+    ("2F1 0.97 e^0.7i", [0.3, 0.7], [1.4], 0.97, 0.7, None, 1e-11, False),
+    ("2F1 0.95 e^2.5i", [1.2, 0.45], [2.9], 0.95, 2.5, None, 1e-11, False),
+    ("2F1 0.99 e^-1.3i", [2.1, 0.6], [3.1], 0.99, -1.3, None, 1e-11, False),
+    ("2F1 0.999 e^0.2i", [0.5, 0.7], [1.22], 0.999, 0.2, None, 1e-11, False),
+    ("2F1 0.999 e^3i", [0.25, 1.75], [3.0], 0.999, 3.0, None, 1e-11, False),
+    # 3F2, excess -1.25 to 1.3
+    ("3F2 0.97 e^2i", [0.6, 1.3, 1.0], [2.7, 2.0], 0.97, 2.0, None, 1e-11, False),
+    ("3F2 0.96 e^-3i", [1.2, 0.8, 0.6], [1.4, 1.7], 0.96, -3.0, None, 1e-11, False),
+    ("3F2 0.995 e^-0.5i", [0.5, 0.7, 1.2], [1.3, 1.4], 0.995, -0.5, None, 1e-11, False),
+    ("3F2 0.99 e^1.5i", [2.3, 1.6, 1.0], [1.65, 2.0], 0.99, 1.5, None, 1e-11, False),
+    # 4F3
+    ("4F3 0.97 e^i", [0.3, 0.5, 0.7, 0.9], [1.1, 1.2, 0.2], 0.97, 1.0, None, 1e-11, False),
+    ("4F3 0.95 e^-2.2i", [0.5, 1.5, 1.0, 2.0], [2.5, 3.0, 2.5], 0.95, -2.2, None, 1e-11, False),
+    ("4F3 0.99 e^0.4i", [0.2, 0.4, 0.6, 0.8], [1.1, 1.3, 1.5], 0.99, 0.4, None, 1e-11, False),
+    # complex parameters
+    ("2F1 complex 0.97", [0.3 + 0.5j, 0.7], [1.4 - 0.2j], 0.97, 1.2, None, 1e-11, False),
+    ("3F2 complex 0.98", [0.4 + 0.3j, 0.6, 0.7 - 0.3j], [1.2, 1.1], 0.98, -2.0, None, 1e-11, False),
+    ("4F3 complex 0.96", [0.2 + 1.0j, 0.4, 0.6, 0.8], [1.3, 1.2 + 1.0j, 0.9], 0.96, 3.0, None, 1e-11, False),
+    # jets
+    ("2F1 0.97 e^0.7i jet 2", [0.3, 0.7], [1.4], 0.97, 0.7, ("upper", 0, 2), 1e-10, False),
+    ("2F1 0.95 e^-2i jet 1", [1.2, 0.45], [2.9], 0.95, -2.0, ("lower", 0, 1), 1e-10, False),
+    ("3F2 0.98 e^2i jet 4", [0.6, 1.3, 1.0], [2.7, 2.0], 0.98, 2.0, ("upper", 0, 4), 1e-9, False),
+    ("4F3 0.97 e^-i jet 1", [0.2, 0.4, 0.6, 0.8], [1.1, 1.3, 1.5], 0.97, -1.0, ("lower", 0, 1), 1e-10, False),
+    ("2F1 c-a-b = 0 at 0.999 jet 1", [0.3, 0.7], [1.0], 0.999, 0.0, ("upper", 0, 1), 1e-10, False),
+    ("3F2 at 0.999 jet 2", [1.0, 1.0, 1.0], [2.0, 2.0], 0.999, 0.0, ("upper", 0, 2), 1e-10, False),
+    # integer c-a-b at real z, where the near-one connection does not apply
+    ("2F1 c-a-b = 0 at 0.96", [0.3, 0.7], [1.0], 0.96, 0.0, None, 1e-11, False),
+    ("2F1 c-a-b = 1 at 0.98", [1.2, 0.8], [3.0], 0.98, 0.0, None, 1e-11, False),
+    ("2F1 c-a-b = 0 at 0.999", [0.3, 0.7], [1.0], 0.999, 0.0, None, 1e-11, False),
+    ("2F1 c-a-b = 0 at 0.999 b", [1.5, 2.5], [4.0], 0.999, 0.0, None, 1e-11, False),
+    ("3F2 at 0.999", [1.0, 1.0, 1.0], [2.0, 2.0], 0.999, 0.0, None, 1e-11, False),
+    # terms that grow for ~1000 terms before they decay: the tail after
+    # a stop is bounded by a ratio above |z|; checked at the engine's tol
+    ("growth 2F1 at 0.99", [6.0, 5.0], [1.0], 0.99, 0.0, None, 1e-12, False),
+    ("growth 3F2 at 0.96", [2.9, 2.9, 2.9], [0.5, 0.5], 0.96, 0.0, None, 1e-12, False),
+    # beyond reach: 1 - |z| = 1e-5, and terms that cancel past double
+    # precision (sum |t_k| / |sum| = 1.3e17)
+    ("raises 2F1 deep", [0.3, 0.7], [1.4], 1.0 - 1e-5, 0.7, None, 1e-11, True),
+    ("raises 2F1 deep real", [0.3, 0.7], [1.0], 1.0 - 1e-5, 0.0, None, 1e-11, True),
+    ("raises cancelled", [6.0, 5.0], [1.0], 0.998, 0.3, None, 1e-11, True),
+]
+
+
 def pair(x):
     x = mp.mpc(x)
     return [float(x.real), float(x.imag)]
@@ -205,6 +256,15 @@ def at_two_precisions(make):
     return checked(lambda: at(20), lambda: at(30))
 
 
+def hyper(upper, lower, z):
+    """mp.hyper, or its series summed directly where the
+    Euler-Maclaurin tail that mpmath takes near |z| = 1 does not converge."""
+    try:
+        return mp.hyper(upper, lower, z)
+    except mp.libmp.NoConvergence:
+        return mp.hyper(upper, lower, z, force_series=True, maxterms=10**6)
+
+
 def hyper_ref(upper, lower, z, jet, real):
     """mp.hyper at z, or with a jet its Taylor coefficients in eps.
 
@@ -212,7 +272,7 @@ def hyper_ref(upper, lower, z, jet, real):
     the function is real on the real eps axis (cauchy_taylor).
     """
     if jet is None:
-        return at_two_precisions(lambda: [mp.hyper(upper, lower, z)])
+        return at_two_precisions(lambda: [hyper(upper, lower, z)])
     side, idx, order = jet
     idx = idx if isinstance(idx, list) else [idx]
 
@@ -221,7 +281,7 @@ def hyper_ref(upper, lower, z, jet, real):
         lows = [mp.mpmathify(c) for c in lower]
         for i in idx:
             (ups if side == "upper" else lows)[i] = x
-        return mp.hyper(ups, lows, z)
+        return hyper(ups, lows, z)
 
     x0 = (upper if side == "upper" else lower)[idx[0]]
 
@@ -302,6 +362,22 @@ def main():
             "raises": raises,
         })
         print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    ring = []
+    for label, upper, lower, r, theta, jet, tol, raises in RING:
+        start = time.time()
+        z = cmath.rect(r, theta)
+        real = z.imag == 0 and all(complex(v).imag == 0 for v in upper + lower)
+        ring.append({
+            "label": label,
+            "upper": [pair(u) for u in upper],
+            "lower": [pair(c) for c in lower],
+            "z": pair(z),
+            "jet": list(jet) if jet else None,
+            "value": hyper_ref(upper, lower, mp.mpc(z), jet, real),
+            "tol": tol,
+            "raises": raises,
+        })
+        print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
     doc = {
         "source": "mpmath %s, tests/data/make_golden_pfq.py" % mp.__version__,
         "error": "max_k |got_k - ref_k| / max(1, max_k |ref_k|)",
@@ -309,6 +385,7 @@ def main():
         "reciprocal_gamma": rgamma,
         "near_one": near,
         "circle": circle,
+        "ring": ring,
     }
     OUT.write_text(json.dumps(doc, indent=1) + "\n")
 

@@ -477,6 +477,16 @@ def test_series_node_runs_the_engine_per_node(monkeypatch, capsys):
     assert len(calls) > 20
 
 
+def test_oracle_power_past_the_double_range(capsys):
+    # (1+x^2)^200 overflows at the decay probe x = 1e4; its quotient is 0
+    payload = _oracle_payload("1/(1+x^2)^200", "inf", capsys)
+    want = math.sqrt(math.pi) / 2 * math.exp(math.lgamma(199.5) - math.lgamma(200))
+    assert payload["oracle"] == pytest.approx(want, rel=1e-12)
+    assert payload["discrepancy"] <= 1e-13
+    assert cli._real_closure(cli.parse("(-1-x)^301"))(1e4) == -math.inf
+    assert cli._real_closure(cli.parse("(-1-x)^300"))(1e4) == math.inf
+
+
 def test_halfline_integral_is_computed_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, (cli,), "definite_0_to_inf")
     payload = _oracle_payload("x^(-1/2)/(1+3*x)^(3/4)", "inf", capsys)

@@ -3,9 +3,9 @@
 tests/data/make_golden_pfq.py wrote the table; these tests only read it.
 The error of a jet is max_k |got_k - ref_k| / max(1, max_k |ref_k|).
 A row passes only with a value within its tolerance: a silent miss
-fails, and so does a typed SeriesError.  The circle rows marked
-`raises` are beyond the engine's reach; they pass only with a typed
-SeriesError.
+fails, and so does a typed SeriesError.  The circle and ring rows
+marked `raises` are beyond the engine's reach; they pass only with a
+typed SeriesError.
 """
 
 import json
@@ -77,13 +77,72 @@ def test_near_one_golden(row):
     assert _error(got, row["value"]) <= row["tol"]
 
 
-@pytest.mark.parametrize(
-    "row", GOLDEN["circle"], ids=[r["label"] for r in GOLDEN["circle"]]
-)
-def test_circle_golden(row):
+def _check_row(row):
     spec, z = _jet_params(row), complex(*row["z"])
     if row["raises"]:
         with pytest.raises(SeriesError):
             eval_series(spec, z)
     else:
         assert _error(eval_series(spec, z), row["value"]) <= row["tol"]
+
+
+def _ring_row(label):
+    return next(r for r in GOLDEN["ring"] if r["label"] == label)
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["circle"], ids=[r["label"] for r in GOLDEN["circle"]]
+)
+def test_circle_golden(row):
+    _check_row(row)
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["ring"], ids=[r["label"] for r in GOLDEN["ring"]]
+)
+def test_ring_golden(row):
+    _check_row(row)
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["ring"], ids=[r["label"] for r in GOLDEN["ring"]]
+)
+def test_ring_work_is_bounded(row, monkeypatch):
+    # every term a ring call asks for lies within the first 65,536, the
+    # last checkpoint of the cap, on each of at most two passes (the
+    # longdouble retry); block(k0, m) gives the terms k0+1 .. k0+m
+    asked = []
+    block = hypseries._Terms.block
+
+    def counting(self, k0, m):
+        asked.append((k0, m))
+        return block(self, k0, m)
+
+    monkeypatch.setattr(hypseries._Terms, "block", counting)
+    try:
+        eval_series(_jet_params(row), complex(*row["z"]))
+    except SeriesError:
+        pass
+    assert max((k0 + m for k0, m in asked), default=0) < 65_536
+    assert sum(m for _, m in asked) <= 2 * 65_536
+
+
+def test_ring_plain_sum_skips_wynn(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Wynn's epsilon reached where the plain sum settles")
+
+    monkeypatch.setattr(hypseries, "_wynn_epsilon", refuse)
+    _check_row(_ring_row("2F1 0.97 e^0.7i"))
+
+
+def test_cancelled_ring_sum_goes_on_by_wynn(monkeypatch):
+    calls = []
+    wynn = hypseries._wynn_epsilon
+
+    def counting(seq):
+        calls.append(len(seq))
+        return wynn(seq)
+
+    monkeypatch.setattr(hypseries, "_wynn_epsilon", counting)
+    _check_row(_ring_row("raises cancelled"))
+    assert calls

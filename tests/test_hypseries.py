@@ -19,6 +19,7 @@ from hypint.hypseries import (
     Kind,
     LimitConditionError,
     PFQSpec,
+    PrecisionLossError,
     SeriesError,
     TermOverflowError,
     _accelerated_sum,
@@ -178,6 +179,23 @@ def test_terminating_complex_cancellation_is_summed_exactly():
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def test_terminating_cancellation_past_the_exact_degree_raises():
+    # the Laguerre L_1500(30) = 1F1(-1500; 1; 30) is -76837.088 (scipy's
+    # eval_laguerre); its float sum is 9.2e158, with sum|t_k| = 1.6e176
+    with pytest.raises(PrecisionLossError):
+        eval_series(PFQSpec((-1500.0,), (1.0,), order=0), 30.0)
+    # the same degree without cancellation keeps its float sum
+    got = eval_series(PFQSpec((-1500.0,), (1.0,), order=0), 0.01).value
+    assert got.real == pytest.approx(special.eval_laguerre(1500, 0.01), rel=1e-13)
+
+
+def test_terminating_exact_resum_keeps_its_bits():
+    # sum|t_k| comes from the summation kernel; the exact re-sum it
+    # calls for rounds the exact sum once, as with the old recurrence
+    got = eval_series(PFQSpec((-60.0, 20.0), (1.5,), order=0), 0.9).value
+    assert got == -1.6439580737279615e-17
+
+
 def test_divergent_outside_disk():
     with pytest.raises(DivergentError):
         eval_series(PFQSpec((1.0, 1.0), (2.0,)), 1.5)
@@ -213,11 +231,10 @@ def test_pfaff_reroute_at_minus_one():
     assert got == pytest.approx(math.pi / 4.0, abs=1e-12)
 
 
-def test_near_one_connection_matches_acceleration():
+def test_near_one_connection_matches_scipy():
     spec = PFQSpec((0.3, 0.4), (1.9,))
     via_connection = eval_series(spec, 0.99).value
-    via_wynn = _accelerated_sum(spec, 0.99 + 0j, 1e-12, 100_000).value
-    assert via_connection == pytest.approx(via_wynn, abs=1e-9)
+    assert via_connection == pytest.approx(special.hyp2f1(0.3, 0.4, 1.9, 0.99), abs=1e-9)
 
 
 # -- evaluation: argument one ----------------------------------------------
@@ -271,12 +288,16 @@ def test_gauss_product_past_the_double_range():
 # Wynn on double-precision checkpoints settles 1.4 tol short here
 @example(0.8977469295514937, 0.8977469295514937, 0.35)
 def test_gauss_form_matches_acceleration(a, b, excess):
-    spec = PFQSpec((a, b), (a + b + excess,))
+    # Gauss: 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+    c = a + b + excess
+    want = math.gamma(c) * math.gamma(excess) / (math.gamma(c - a) * math.gamma(c - b))
+    spec = PFQSpec((a, b), (c,))
     gamma_form = eval_at_one(spec).value
+    assert gamma_form == pytest.approx(want, abs=1e-9)
     wynn = _accelerated_sum(spec, 1.0 + 0j, 1e-12, 100_000).value
-    assert gamma_form == pytest.approx(wynn, abs=1e-9)
+    assert wynn == pytest.approx(want, abs=1e-9)
     richardson = _extrapolate_at_one(spec, 1e-12, 100_000).value
-    assert gamma_form == pytest.approx(richardson, abs=1e-9)
+    assert richardson == pytest.approx(want, abs=1e-9)
 
 
 def test_gelfond_constant():
@@ -380,7 +401,7 @@ def test_real_head_stops_where_the_exact_sum_does(upper, lower, x, tol):
         Fraction(x), Fraction(tol),
     )
     assert count < 64  # the head route
-    *_, (n, sums, stopped) = _partials(
+    *_, (n, sums, _, stopped) = _partials(
         PFQSpec(upper, lower, order=0), complex(x), TERM_CAP + 1, tol
     )
     assert stopped and n == count
