@@ -250,9 +250,12 @@ def sqrt1p_minus1(x: float) -> float:
 def trinomial_root_newton(n: int, alpha: float, x: float) -> float:
     """The branch through 0 of  alpha*y^n + y = x,  for alpha > 0, x >= 0.
 
-    Safeguarded Newton: the map is strictly increasing on y >= 0, so the
-    root is unique and bracketed by [0, x]; any Newton step leaving the
-    bracket falls back to bisection.
+    Newton from above: the root lies below both x and (x/alpha)^(1/n),
+    and f(y) = alpha*y^n + y - x is convex and increasing on y >= 0, so
+    from the smaller of the two the iterates descend to the root.  A
+    step that rounding takes out of the bracket [lo, hi] bisects it.
+    Returns once a step is within 4 ulp, and raises OracleError if no
+    step is within 100.
     """
     if n < 2:
         raise ValueError("trinomial degree must be >= 2")
@@ -261,19 +264,22 @@ def trinomial_root_newton(n: int, alpha: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     lo, hi = 0.0, x
-    y = x / (1.0 + alpha * x ** (n - 1))
-    for _ in range(200):
-        fy = alpha * y**n + y - x
+    # (x/alpha)^(1/n) through logs: x/alpha may leave the double range
+    y = min(x, math.exp((math.log(x) - math.log(alpha)) / n))
+    for _ in range(100):
+        # alpha*y^(n-1) stays below x/y, where alpha*y^n alone may overflow
+        p = alpha * y ** (n - 1)
+        fy = (p + 1.0) * y - x
         if fy > 0.0:
             hi = y
         else:
             lo = y
-        dfy = n * alpha * y ** (n - 1) + 1.0
-        step = fy / dfy
-        y_new = y - step
-        if not (lo < y_new < hi):
+        y_new = y - fy / (n * p + 1.0)
+        if not lo <= y_new <= hi:
             y_new = 0.5 * (lo + hi)
-        if abs(y_new - y) <= 1e-16 * max(1.0, abs(y_new)):
+        if abs(y_new - y) <= 4.0 * math.ulp(y_new):
             return y_new
         y = y_new
-    return y
+    raise OracleError(
+        "Newton did not settle on the root of %g*y^%d + y = %r" % (alpha, n, x)
+    )

@@ -89,6 +89,13 @@ AT_ONE = [
     ("jet 2 thomae", [0.31, 0.55, 0.72], [1.21, 1.47], ("lower", 0, 2), 1e-10),
     ("jet 1 complex", [0.3 + 0.5j, 0.3 - 0.5j, 0.8], [1.2, 1.5], ("upper", 2, 1), 1e-10),
     ("jet 1 5F4", [0.1, 0.3, 0.5, 0.7, 0.9], [1.0, 1.2, 1.4, 1.6], ("upper", 4, 1), 1e-10),
+    # at the engine's default tol: checkpoints started at 8*2^j in place
+    # of 64*2^j return both 1e-12 or more off
+    ("early checkpoints 1",
+     [0.5445645461433958, 0.3566841719136765, 0.5864854742257818],
+     [1.033554925410245, 1.8848177186051176], None, 1e-12),
+    ("early checkpoints 2", [9.50466765499725, 9.67975199355979, 2.9016235208364205],
+     [3.810814988570245, 20.953510438910037], None, 1e-12),
 ]
 
 CLOSED = {

@@ -60,6 +60,27 @@ def test_at_one_wide_series_skip_wynn(monkeypatch):
     assert _error(eval_at_one(_jet_params(row)), row["value"]) <= row["tol"]
 
 
+def test_at_one_reads_term_blocks_only(monkeypatch):
+    # z = 1 reads its checkpoints 64*2^j straight from _Terms blocks: no
+    # per-term head, and no more terms than the 1 + 1023 summed to the
+    # checkpoint 1024, where the Thomae-range rows settle
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-term head reached from z = 1")
+
+    asked = []
+    block = hypseries._Terms.block
+
+    def counted(self, k0, m):
+        asked.append(m)
+        return block(self, k0, m)
+
+    monkeypatch.setattr(hypseries, "_partials", refuse)
+    monkeypatch.setattr(hypseries._Terms, "block", counted)
+    row = GOLDEN["at_one"][0]
+    assert _error(eval_at_one(_jet_params(row)), row["value"]) <= row["tol"]
+    assert sum(asked) <= 1023
+
+
 @pytest.mark.parametrize(
     "row", GOLDEN["reciprocal_gamma"],
     ids=[repr(r["base"]) for r in GOLDEN["reciprocal_gamma"]],

@@ -296,8 +296,33 @@ def test_gauss_form_matches_acceleration(a, b, excess):
     assert gamma_form == pytest.approx(want, abs=1e-9)
     wynn = _accelerated_sum(spec, 1.0 + 0j, 1e-12, 100_000).value
     assert wynn == pytest.approx(want, abs=1e-9)
-    richardson = _extrapolate_at_one(spec, 1e-12, 100_000).value
+    richardson = _extrapolate_at_one(spec, spec.sigma, 1e-12, 100_000).value
     assert richardson == pytest.approx(want, abs=1e-9)
+
+
+def _first_term_past_double_range(upper, lower) -> int:
+    """The first k with log t_k above log(DBL_MAX), t_k summed in logs."""
+    top, log_t, k = math.log(sys.float_info.max), 0.0, 0
+    while log_t <= top:
+        k += 1
+        log_t += (sum(math.log(a + k - 1) for a in upper) - math.log(k)
+                  - sum(math.log(b + k - 1) for b in lower))
+    return k
+
+
+@pytest.mark.parametrize("upper, lower", [
+    # past the double range within the first 64 terms, and after them
+    ((1e5, 1e5, 1e5), (1.5, 3e5)),
+    ((300.0, 300.0, 300.0), (1.5, 900.0)),
+])
+@pytest.mark.parametrize("jet", [False, True])
+def test_at_one_overflow_index(upper, lower, jet):
+    k = _first_term_past_double_range(upper, lower)
+    spec = (PFQSpec((upper[0] + eps(1),) + upper[1:], lower) if jet
+            else PFQSpec(upper, lower, order=0))
+    with pytest.raises(TermOverflowError) as err:
+        eval_at_one(spec)
+    assert err.value.k == k
 
 
 def test_gelfond_constant():

@@ -1,8 +1,10 @@
 """Quadrature oracle: known integrals, substitution cross-checks, honesty."""
 
 import math
+import struct
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,48 @@ def test_trinomial_quadratic_closed_form():
     for alpha, x in ((0.7, 2.0), (2.0, 0.3)):
         want = 2.0 * x / (1.0 + math.sqrt(1.0 + 4.0 * alpha * x))
         assert abs(trinomial_root_newton(2, alpha, x) - want) < 1e-14
+
+
+def _ordinal(y: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", y))[0]
+
+
+def _from_ordinal(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def _exact_trinomial_root(n, alpha, x):
+    """The largest double y with alpha*y^n + y <= x, by exact bisection."""
+    a, target = Fraction(alpha), Fraction(x)
+
+    def below(i):
+        y = Fraction(_from_ordinal(i))
+        return a * y**n + y <= target
+
+    lo, hi = 0, _ordinal(x) + 1  # below(lo), not below(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return _from_ordinal(lo)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+@pytest.mark.parametrize("alpha", (0.5, 2.0, 7.0))
+def test_trinomial_root_against_exact_bisection(n, alpha):
+    # for x >> 1 the root lies far below x, near (x/alpha)^(1/n)
+    for e in range(-8, 301, 7):
+        x = 10.0**e
+        y = trinomial_root_newton(n, alpha, x)
+        want = _exact_trinomial_root(n, alpha, x)
+        assert abs(y - want) <= 2.0 * math.ulp(want), (n, alpha, x, y, want)
+
+
+def test_trinomial_root_far_out_and_at_zero():
+    # alpha*x^n alone is past the double range here
+    for x in (1e80, 1e300):
+        y = trinomial_root_newton(5, 2.0, x)
+        assert abs(y - _exact_trinomial_root(5, 2.0, x)) <= 2.0 * math.ulp(y)
+    assert trinomial_root_newton(5, 2.0, 0.0) == 0.0
 
 
 def test_trinomial_validation():
