@@ -561,20 +561,6 @@ def _tail_tiny(size, scale, k, bound):
     return size * r <= scale * (1.0 - r)
 
 
-def _add_columns(acc: list, blk: np.ndarray) -> None:
-    """Add each column of `blk`, summed exactly by math.fsum, to its sum in acc.
-
-    A float array is added as real.  Raises OverflowError where a column
-    sum leaves the double range.
-    """
-    if blk.dtype.kind == "f":
-        for col, s in zip(blk.T.tolist(), acc):
-            s.add(complex(math.fsum(col)))
-    else:
-        for col, s in zip(blk.T, acc):
-            s.add(complex(math.fsum(col.real.tolist()), math.fsum(col.imag.tolist())))
-
-
 def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
                     small: int, overflow, mag: Optional[float] = None,
                     bound=None):
@@ -657,7 +643,13 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
         elif bad is not None:
             raise overflow(n + bad)
         try:
-            _add_columns(acc, blk)
+            if real:
+                for col, s in zip(blk.T.tolist(), acc):
+                    s.add(complex(math.fsum(col)))
+            else:
+                for col, s in zip(blk.T, acc):
+                    s.add(complex(math.fsum(col.real.tolist()),
+                                  math.fsum(col.imag.tolist())))
         except OverflowError:
             raise overflow(n + len(blk) - 1) from None
         n += len(blk)
@@ -948,7 +940,7 @@ def _levin_sum(spec: PFQSpec, z: complex, tol: float) -> Jet:
     )
 
 
-def _extrapolate_at_one(spec: PFQSpec, sigma: Jet, tol: float, cap: int) -> Jet:
+def _extrapolate_at_one(spec: PFQSpec, tol: float, cap: int) -> Jet:
     """The sum at z = 1 by Richardson extrapolation with known exponents.
 
     At z = 1 the term of a p = q+1 series behaves like k^(-sigma-1)
@@ -960,22 +952,21 @@ def _extrapolate_at_one(spec: PFQSpec, sigma: Jet, tol: float, cap: int) -> Jet:
     when the last two entries of the newest diagonal agree within
     tol * max(1, |.|), from the third checkpoint on.
 
-    The partial sums are read straight from _Terms blocks: one for terms
-    1..255, then one per checkpoint, each added in the pieces
-    _block_partials adds, every piece by math.fsum per column and the
-    pieces compensated across.  The table runs on plain numbers for a
-    scalar spec and in jet arithmetic otherwise, so a jet excess is
-    removed exactly.
+    The partial sums come straight from _block_partials over _Terms
+    blocks, with no per-term head and no stop rule.  The table runs on
+    plain numbers for a scalar spec and in jet arithmetic otherwise, so
+    a jet excess is removed exactly.
     """
     z = 1.0 + 0j
 
     def overflow(k: int) -> TermOverflowError:
         return _overflow(spec.describe(), z, k)
 
-    scalar = spec.all_scalar
+    sigma = spec.sigma
     if sigma.is_scalar:
         # a plain number, which jet arithmetic applies without promotion
         sigma = sigma.value
+    scalar = spec.all_scalar
     terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
     acc = [_ScalarSum() for _ in range(1 if scalar else spec.order + 1)]
     acc[0].re = 1.0  # the first term
@@ -983,42 +974,22 @@ def _extrapolate_at_one(spec: PFQSpec, sigma: Jet, tol: float, cap: int) -> Jet:
     levels: list = []
     # diag[i] = T_(j-i)^i for the newest checkpoint j
     diag: list = []
-    last = _last_checkpoint(cap)
-    n = 1
-    while n < last:
-        k0 = n
-        end = min(max(2 * n, 4 * _FIRST_CHECKPOINT), last)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            blk = terms.block(k0 - 1, end - k0)
-        # row i is term k0 + i; a running product of finite ratios keeps
-        # a non-finite scalar term non-finite, so the last one tells
-        bad = len(blk)
-        if not (cmath.isfinite(blk[-1, 0]) if scalar else np.isfinite(blk).all()):
-            bad = int(np.argmin(np.isfinite(blk).all(axis=1)))
-        while n < end:
-            stop = max(_FIRST_CHECKPOINT, n + min(n, _BLOCK_CAP))
-            if bad < stop - k0:
-                raise overflow(k0 + bad)
-            try:
-                _add_columns(acc, blk[n - k0 : stop - k0])
-            except OverflowError:
-                raise overflow(stop - 1) from None
-            n = stop
-            s = _sums(acc, overflow, n - 1)
-            if n & (n - 1):
-                continue
-            new = [s[0] if scalar else _jet(s)]
-            for i, old in enumerate(diag):
-                if i == len(levels):
-                    f = 2.0 ** (sigma + i)
-                    levels.append((f, 1.0 / (f - 1.0)))
-                f, inv = levels[i]
-                new.append((new[i] * f - old) * inv)
-            diag = new
-            if len(diag) >= 3:
-                est = diag[-1]
-                if _magnitude(est - diag[-2]) <= tol * max(1.0, _magnitude(est)):
-                    return as_jet(est, spec.order) if scalar else est
+    for n, s, _, _ in _block_partials(terms, acc, 1, _last_checkpoint(cap),
+                                      None, 2, 0, overflow):
+        if n & (n - 1):
+            continue
+        new = [s[0] if scalar else _jet(s)]
+        for i, old in enumerate(diag):
+            if i == len(levels):
+                f = 2.0 ** (sigma + i)
+                levels.append((f, 1.0 / (f - 1.0)))
+            f, inv = levels[i]
+            new.append((new[i] * f - old) * inv)
+        diag = new
+        if len(diag) >= 3:
+            est = diag[-1]
+            if _magnitude(est - diag[-2]) <= tol * max(1.0, _magnitude(est)):
+                return as_jet(est, spec.order) if scalar else est
     raise ConvergenceError(
         "extrapolation did not stabilize within %d terms for %s at 1"
         % (cap, spec.describe())
@@ -1134,7 +1105,7 @@ def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
             * reciprocal_gamma_jet(c - a)
             * reciprocal_gamma_jet(c - b),
         )
-    return _extrapolate_at_one(spec, sigma, tol, AT_ONE_CAP)
+    return _extrapolate_at_one(spec, tol, AT_ONE_CAP)
 
 
 def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:

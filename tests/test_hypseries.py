@@ -296,7 +296,7 @@ def test_gauss_form_matches_acceleration(a, b, excess):
     assert gamma_form == pytest.approx(want, abs=1e-9)
     wynn = _accelerated_sum(spec, 1.0 + 0j, 1e-12, 100_000).value
     assert wynn == pytest.approx(want, abs=1e-9)
-    richardson = _extrapolate_at_one(spec, spec.sigma, 1e-12, 100_000).value
+    richardson = _extrapolate_at_one(spec, 1e-12, 100_000).value
     assert richardson == pytest.approx(want, abs=1e-9)
 
 
