@@ -59,11 +59,8 @@ _LEVIN_MIN_ANGLE = 0.6
 _LEVIN_START, _LEVIN_LAST = 10, 40
 # the longest terminating sum that a cancellation sends to exact rationals
 _EXACT_MAX_DEGREE = 1000
-# Wynn's pass runs again in longdouble when it ends within this many tol
-_WIDE_RETRY = 16
 # the rounding of a float sum: up to this times sum|t_k|
 _ULP = 2.0**-53
-_LONGDOUBLE_IS_WIDER = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
 
 
 class SeriesError(Exception):
@@ -346,21 +343,17 @@ class _Terms:
     any, where b + j lies within 1/2 of zero.  There the log would cancel
     catastrophically, and at a zero base, as in 2F1(eps, eps; 1; z), it
     does not exist.  With scalar parameters only, L and M stay trivial
-    and a block is t * cumprod(ratio); `scalar` says so up front.
-
-    With `wide`, T_k runs in numpy's longdouble, 64 mantissa bits on
-    x86, at about five times the cost.  In doubles each of its n ratios
-    adds a few roundings, and T_n drifts by about sqrt(n) ulp: 2e-14 by
-    term 65536.
+    and a block is t * cumprod(ratio); `scalar` says so up front.  Each
+    of T_n's n ratios adds a few roundings, so it drifts by about
+    sqrt(n) ulp: 2e-14 by term 65536.
     """
 
     # each term is the one before times a finite ratio
     running = True
 
     def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool,
-                 scalar: bool, wide: bool = False):
+                 scalar: bool):
         dtype = float if real else complex
-        self.dtype, self.kind = dtype, np.longdouble if wide else float
         cast = (lambda v: v.real) if real else complex
         width = spec.order + 1
         self.z, self.t = cast(z), cast(t)
@@ -403,7 +396,7 @@ class _Terms:
 
     def block(self, k0: int, m: int) -> np.ndarray:
         """Terms k0+1 .. k0+m as the rows of an (m, columns) array."""
-        k = np.arange(k0, k0 + m, dtype=self.kind)
+        k = np.arange(k0, k0 + m, dtype=float)
         r = self.z / (k + 1.0)
         logs = None
         for b, sign, coeffs, j0 in self.factors:
@@ -413,7 +406,7 @@ class _Terms:
             else:
                 r /= d
             if coeffs is not None:
-                w = (1.0 / d).astype(self.dtype, copy=False)
+                w = 1.0 / d
                 if j0 is not None and k0 <= j0 < k0 + m:
                     w[j0 - k0] = 0.0
                 part = (w[:, None] ** self.powers) @ coeffs
@@ -424,7 +417,6 @@ class _Terms:
             r[i] = ratio
         t = self.t * np.cumprod(r)
         self.t = t[-1]
-        t = t.astype(self.dtype, copy=False)
         if logs is None:
             return t[:, None]
         logs = self.log + np.cumsum(logs, axis=0)
@@ -459,20 +451,20 @@ def _is_real(spec: PFQSpec, z: complex) -> bool:
     )
 
 
-def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False,
-              bound=None, count=False):
-    """Partial sums of the series, up to `limit` terms.
+def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, count=False):
+    """Partial sums of a direct or terminating series, up to `limit` terms.
 
     Yields (n, S_n, mag, stopped), with n the number of terms summed,
     S_n the order+1 jet coefficients of the partial sum and, with
-    `count` or `bound`, mag the sum of |t_k| over those terms, |.| the
-    largest coefficient modulus; otherwise mag is None, and the blocks
-    skip the work.  With scalar parameters the first _FIRST_CHECKPOINT
-    terms run through the per-term recurrence, so a short series never
-    touches numpy; a jet series starts from its first term alone.
+    `count`, mag the sum of |t_k| over those terms, |.| the largest
+    coefficient modulus; otherwise mag is None, and the blocks skip the
+    work.  With scalar parameters the first _FIRST_CHECKPOINT terms run
+    through the per-term recurrence, so a short series never touches
+    numpy; a jet series starts from its first term alone.
     _block_partials sums the rest from _Terms blocks.  With `tol`, the
     sum stops after two consecutive tiny terms past the first, tiny as
-    _block_partials says with `bound`.  `wide` goes to _Terms.
+    _block_partials says.  Sums at |z| near or at 1 have no per-term
+    head: they read _checkpoints.
     """
 
     def overflow(k: int) -> TermOverflowError:
@@ -484,9 +476,6 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False,
     t = 1.0 + 0j
     n = 1
     mag = 1.0
-    # the head sums |t_k| anyway; the blocks only where it is asked for
-    # or where it bounds a stop
-    track = count or bound is not None
     scalar = spec.all_scalar
     # real inputs keep the terms in float, at a fraction of the cost of
     # complex: with zero imaginary parts complex * and / give the same
@@ -512,9 +501,12 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False,
             den = float(k)
             for cj in c:
                 den *= cj + j
-            t = t * num / den
+            prev, t = t, t * num / den
             if not isfinite(t):
-                raise overflow(k)
+                # t * num can leave the double range where the term does not
+                t = prev * (num / den)
+                if not isfinite(t):
+                    raise overflow(k)
             at = abs(t)
             mag += at
             x = t.real
@@ -527,29 +519,25 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, wide=False,
                 cim += (im - u) + x if abs(im) >= abs(x) else (x - u) + im
                 im = u
             if tol is not None:
-                scale = tol * max(
+                if at <= tol * max(
                     1.0, abs(re + cre) if real else abs(complex(re + cre, im + cim))
-                )
-                if at <= scale and (bound is None or _tail_tiny(at, scale, k, bound)):
+                ):
                     if small:
-                        if bound is None or mag * _ULP <= scale:
-                            acc[0] = _ScalarSum(re, cre, im, cim)
-                            yield (k + 1, _sums(acc, overflow, k),
-                                   mag if track else None, True)
-                            return
-                        # the terms cancel past double precision: no stop
-                        tol = None
+                        acc[0] = _ScalarSum(re, cre, im, cim)
+                        yield (k + 1, _sums(acc, overflow, k),
+                               mag if count else None, True)
+                        return
                     small = True
                 else:
                     small = False
         acc[0] = _ScalarSum(re, cre, im, cim)
-    if not track:
+    if not count:
         mag = None
     yield n, _sums(acc, overflow, n - 1), mag, False
     if n < limit:
-        terms = _Terms(spec, z, t, real, scalar, wide)
+        terms = _Terms(spec, z, t, real, scalar)
         yield from _block_partials(terms, acc, n, limit, tol, 2, int(small),
-                                   overflow, mag, bound)
+                                   overflow, mag)
 
 
 def _tail_tiny(size, scale, k, bound):
@@ -570,9 +558,9 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
     array with one column per jet coefficient; a float array promises
     that every term so far was real.  `acc` holds the compensated sums
     of the first n terms and `mag` the sum of their |t_k|, |.| the
-    largest coefficient modulus, or None to leave it untracked.  Blocks end at 64 terms, then double in
-    length up to _BLOCK_CAP, so every power-of-two count from 64 on ends
-    a block.  Each coefficient of each block is added exactly with
+    largest coefficient modulus, or None to leave it untracked.  Blocks
+    end at 64 terms, then double in length up to _BLOCK_CAP, so every
+    power-of-two count from 64 on ends a block.  Each coefficient of each block is added exactly with
     math.fsum, and the block sums are compensated across blocks.  Yields
     (n, S_n, mag, stopped) after each block.
 
@@ -766,38 +754,43 @@ def _wynn_epsilon(seq: Sequence[complex]) -> complex:
     return best
 
 
-def _last_checkpoint(cap: int) -> int:
-    """The last checkpoint 64*2^j within `cap` terms past the first.
+def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None):
+    """The partial sums at the term counts 64*2^j within `cap`.
 
-    Terms past it could never reach another checkpoint.
+    Yields (S_n, False) at each checkpoint, S_n a plain number for a
+    spec with scalar parameters and a jet otherwise.  Boundary tails
+    decay algebraically, like n^(-sigma), and the geometric spacing
+    turns them into linearly convergent sequences.  The sums come
+    straight from _block_partials over one _Terms source, from the first
+    term on, with no per-term head.  With `tol` the plain sum may stop
+    first, as _block_partials says with `tol` and `bound`; it then
+    yields (S_n, True) and ends.
     """
+
+    def overflow(k: int) -> TermOverflowError:
+        return _overflow(spec.describe(), z, k)
+
+    scalar = spec.all_scalar
+    terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
+    acc = [_ScalarSum() for _ in range(1 if scalar else spec.order + 1)]
+    acc[0].re = 1.0  # the first term
+    # the last checkpoint within `cap` terms past the first: terms past
+    # it could never reach another
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
-    return limit
-
-
-def _checkpoints(spec: PFQSpec, z: complex, cap: int, wide: bool = False,
-                 tol=None, bound=None):
-    """The partial sums at the term counts 64*2^j within `cap`, as jets.
-
-    Yields (S_n, False) at each checkpoint.  Boundary tails decay
-    algebraically, like n^(-sigma), and the geometric spacing turns them
-    into linearly convergent sequences.  With `tol` the plain sum may
-    stop first, as _block_partials says with `tol` and `bound`; it then
-    yields (S_n, True) and ends.  `wide` runs the term ratios in
-    longdouble (see _Terms).
-    """
-    limit = _last_checkpoint(cap)
-    for n, s, _, stopped in _partials(spec, z, limit, tol, wide, bound):
-        if stopped or (n >= _FIRST_CHECKPOINT and not n & (n - 1)):
-            yield _jet(s), stopped
+    # sum|t_k| is read only by the floor of the stop with `bound`
+    mag = None if bound is None else 1.0
+    for n, s, _, stopped in _block_partials(terms, acc, 1, limit, tol, 2, 0,
+                                            overflow, mag, bound):
+        if stopped or not n & (n - 1):
+            yield (s[0] if scalar else _jet(s)), stopped
 
 
 def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     """The sum for |z| near or at 1, by the plain sum or by Wynn's epsilon.
 
-    One pass over the partial sums carries two stops and returns at
+    One pass over the checkpoints carries two stops and returns at
     whichever settles first.  Inside the disk the plain sum stops where
     the geometric tail after its last term is below tol * max(1, |S|),
     with the term ratio bounded near the stopping index k by
@@ -810,19 +803,13 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     Wynn's epsilon extrapolates the checkpoints, per jet coefficient,
     and stops when two consecutive estimates agree within
     tol * max(1, |.|).  The table amplifies the rounding of the
-    checkpoints a hundredfold and more, and in doubles their terms drift
-    by about sqrt(n) ulp, so a pass can settle just short of a tol near
-    1e-12, as at z = 1 for 2F1(0.898, 0.898; 2.145).  A pass whose last
-    two estimates came within _WIDE_RETRY * tol runs again with the term
-    ratios in longdouble; one that ended further off did not settle, and
-    a second pass would double the cost of the error it raises.
+    checkpoints a hundredfold and more.
     """
 
-    def estimate(snaps: list) -> Jet:
-        return _jet(tuple(
-            _wynn_epsilon([s.coeffs[m] for s in snaps])
-            for m in range(spec.order + 1)
-        ))
+    def estimate(snaps: list):
+        if isinstance(snaps[0], Jet):
+            return _jet(tuple(map(_wynn_epsilon, zip(*(s.coeffs for s in snaps)))))
+        return _wynn_epsilon(snaps)
 
     az = abs(z)
     bound = None
@@ -830,28 +817,22 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
         excess = (sum(a.value.real for a in spec.upper)
                   - sum(c.value.real for c in spec.lower))
         bound = (az, max(0.0, excess - 1.0))
-    for wide in (False, True) if _LONGDOUBLE_IS_WIDER else (False,):
-        snapshots: list[Jet] = []
-        prev_est: Optional[Jet] = None
-        move = math.inf
-        for snap, stopped in _checkpoints(spec, z, cap, wide,
-                                          tol if bound else None, bound):
-            if stopped:
-                return snap
-            snapshots.append(snap)
-            # estimates start from 4 checkpoints; the first is formed
-            # when a second can be compared with it, so a plain sum that
-            # stops before the fifth checkpoint never runs the table
-            if len(snapshots) >= 5:
-                if prev_est is None:
-                    prev_est = estimate(snapshots[:-1])
-                est = estimate(snapshots)
-                move = _magnitude(est - prev_est) / max(1.0, _magnitude(est))
-                if move <= tol:
-                    return est
-                prev_est = est
-        if not move <= _WIDE_RETRY * tol:
-            break
+    snapshots: list = []
+    prev_est = None
+    for snap, stopped in _checkpoints(spec, z, cap, tol if bound else None, bound):
+        if stopped:
+            return as_jet(snap, spec.order)
+        snapshots.append(snap)
+        # estimates start from 4 checkpoints; the first is formed when a
+        # second can be compared with it, so a plain sum that stops
+        # before the fifth checkpoint never runs the table
+        if len(snapshots) >= 5:
+            if prev_est is None:
+                prev_est = estimate(snapshots[:-1])
+            est = estimate(snapshots)
+            if _magnitude(est - prev_est) / max(1.0, _magnitude(est)) <= tol:
+                return as_jet(est, spec.order)
+            prev_est = est
     raise ConvergenceError(
         "acceleration did not stabilize within %d terms for %s at %r"
         % (cap, spec.describe(), z)
@@ -952,33 +933,19 @@ def _extrapolate_at_one(spec: PFQSpec, tol: float, cap: int) -> Jet:
     when the last two entries of the newest diagonal agree within
     tol * max(1, |.|), from the third checkpoint on.
 
-    The partial sums come straight from _block_partials over _Terms
-    blocks, with no per-term head and no stop rule.  The table runs on
-    plain numbers for a scalar spec and in jet arithmetic otherwise, so
-    a jet excess is removed exactly.
+    The table reads _checkpoints, on plain numbers for a scalar spec and
+    in jet arithmetic otherwise, so a jet excess is removed exactly.
     """
-    z = 1.0 + 0j
-
-    def overflow(k: int) -> TermOverflowError:
-        return _overflow(spec.describe(), z, k)
-
     sigma = spec.sigma
     if sigma.is_scalar:
         # a plain number, which jet arithmetic applies without promotion
         sigma = sigma.value
-    scalar = spec.all_scalar
-    terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
-    acc = [_ScalarSum() for _ in range(1 if scalar else spec.order + 1)]
-    acc[0].re = 1.0  # the first term
     # per level: f_i and 1 / (f_i - 1)
     levels: list = []
     # diag[i] = T_(j-i)^i for the newest checkpoint j
     diag: list = []
-    for n, s, _, _ in _block_partials(terms, acc, 1, _last_checkpoint(cap),
-                                      None, 2, 0, overflow):
-        if n & (n - 1):
-            continue
-        new = [s[0] if scalar else _jet(s)]
+    for s, _ in _checkpoints(spec, 1.0 + 0j, cap):
+        new = [s]
         for i, old in enumerate(diag):
             if i == len(levels):
                 f = 2.0 ** (sigma + i)
@@ -989,7 +956,7 @@ def _extrapolate_at_one(spec: PFQSpec, tol: float, cap: int) -> Jet:
         if len(diag) >= 3:
             est = diag[-1]
             if _magnitude(est - diag[-2]) <= tol * max(1.0, _magnitude(est)):
-                return as_jet(est, spec.order) if scalar else est
+                return as_jet(est, spec.order)
     raise ConvergenceError(
         "extrapolation did not stabilize within %d terms for %s at 1"
         % (cap, spec.describe())

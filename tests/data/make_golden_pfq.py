@@ -180,6 +180,9 @@ RING = [
     ("2F1 0.99 e^-1.3i", [2.1, 0.6], [3.1], 0.99, -1.3, None, 1e-11, False),
     ("2F1 0.999 e^0.2i", [0.5, 0.7], [1.22], 0.999, 0.2, None, 1e-11, False),
     ("2F1 0.999 e^3i", [0.25, 1.75], [3.0], 0.999, 3.0, None, 1e-11, False),
+    # terms below 1e-13 from the first on: the plain sum stops at k = 3,
+    # inside the first block of 64 terms
+    ("2F1 a = 1e-13 0.97 e^0.7i", [1e-13, 0.7], [1.4], 0.97, 0.7, None, 1e-12, False),
     # 3F2, excess -1.25 to 1.3
     ("3F2 0.97 e^2i", [0.6, 1.3, 1.0], [2.7, 2.0], 0.97, 2.0, None, 1e-11, False),
     ("3F2 0.96 e^-3i", [1.2, 0.8, 0.6], [1.4, 1.7], 0.96, -3.0, None, 1e-11, False),

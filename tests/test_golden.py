@@ -107,6 +107,10 @@ def _check_row(row):
         assert _error(eval_series(spec, z), row["value"]) <= row["tol"]
 
 
+def _refuse_head(*args, **kwargs):
+    raise AssertionError("the per-term head reached from |z| near 1")
+
+
 def _ring_row(label):
     return next(r for r in GOLDEN["ring"] if r["label"] == label)
 
@@ -130,8 +134,12 @@ def test_ring_golden(row):
 )
 def test_ring_work_is_bounded(row, monkeypatch):
     # every term a ring call asks for lies within the first 65,536, the
-    # last checkpoint of the cap, on each of at most two passes (the
-    # longdouble retry); block(k0, m) gives the terms k0+1 .. k0+m
+    # last checkpoint of the cap, and is asked for once; block(k0, m)
+    # gives the terms k0+1 .. k0+m.  From |z| = 0.95 on, the near-one
+    # fallback at integer c-a-b included, it reads term blocks only; one
+    # row rounds to |z| just below 0.95, where the direct route's head runs
+    if abs(complex(*row["z"])) >= 0.95:
+        monkeypatch.setattr(hypseries, "_partials", _refuse_head)
     asked = []
     block = hypseries._Terms.block
 
@@ -145,7 +153,13 @@ def test_ring_work_is_bounded(row, monkeypatch):
     except SeriesError:
         pass
     assert max((k0 + m for k0, m in asked), default=0) < 65_536
-    assert sum(m for _, m in asked) <= 2 * 65_536
+    assert sum(m for _, m in asked) < 65_536
+
+
+def test_small_angle_circle_reads_term_blocks_only(monkeypatch):
+    # |z| = 1 below 0.6 rad sums by Wynn on checkpoints from term blocks
+    monkeypatch.setattr(hypseries, "_partials", _refuse_head)
+    _check_row(next(r for r in GOLDEN["circle"] if r["label"] == "2F1 wynn 0.1"))
 
 
 def test_ring_plain_sum_skips_wynn(monkeypatch):

@@ -285,7 +285,8 @@ def test_gauss_product_past_the_double_range():
     b=st.floats(min_value=0.05, max_value=1.2),
     excess=st.floats(min_value=0.35, max_value=1.5),
 )
-# Wynn on double-precision checkpoints settles 1.4 tol short here
+# Wynn's hardest case found: it settles only 1.1e-12 from Gauss, about
+# its tol
 @example(0.8977469295514937, 0.8977469295514937, 0.35)
 def test_gauss_form_matches_acceleration(a, b, excess):
     # Gauss: 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
@@ -300,13 +301,13 @@ def test_gauss_form_matches_acceleration(a, b, excess):
     assert richardson == pytest.approx(want, abs=1e-9)
 
 
-def _first_term_past_double_range(upper, lower) -> int:
-    """The first k with log t_k above log(DBL_MAX), t_k summed in logs."""
+def _first_term_past_double_range(upper, lower, z=1.0) -> int:
+    """The first k with log |t_k| above log(DBL_MAX), t_k summed in logs."""
     top, log_t, k = math.log(sys.float_info.max), 0.0, 0
     while log_t <= top:
         k += 1
         log_t += (sum(math.log(a + k - 1) for a in upper) - math.log(k)
-                  - sum(math.log(b + k - 1) for b in lower))
+                  - sum(math.log(b + k - 1) for b in lower) + math.log(abs(z)))
     return k
 
 
@@ -322,6 +323,18 @@ def test_at_one_overflow_index(upper, lower, jet):
             else PFQSpec(upper, lower, order=0))
     with pytest.raises(TermOverflowError) as err:
         eval_at_one(spec)
+    assert err.value.k == k
+
+
+@pytest.mark.parametrize("z", [0.5, 0.9, 0.97 * cmath.exp(1j), 0.99])
+def test_overflow_index_off_one(z):
+    # 0.5 and 0.9 run the direct route's per-term head, where t * num
+    # leaves the double range two terms before t * num / den does;
+    # 0.97e^i and 0.99 sum on the ring, from term blocks
+    upper, lower = (1e5, 1e5, 1e5), (1.5, 3e5)
+    k = _first_term_past_double_range(upper, lower, z)
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec(upper, lower, order=0), z)
     assert err.value.k == k
 
 
