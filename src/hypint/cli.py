@@ -45,9 +45,12 @@ __all__ = ["main", "parse", "render", "ParseError", "ComputationError"]
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, pos: int):
+    """A syntax error at index `pos` of the text `src`."""
+
+    def __init__(self, message: str, pos: int, src: str = ""):
         super().__init__(message)
         self.pos = pos
+        self.src = src
 
 
 class ComputationError(Exception):
@@ -441,7 +444,11 @@ def _negate_literal(e: Expr) -> Optional[Expr]:
 
 
 def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except ParseError as ex:
+        ex.src = text
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -1091,7 +1098,7 @@ def _cmd_eval(args) -> int:
         try:
             at_expr = parse(args.at)
         except ParseError as pe:
-            raise ParseError("--at: %s" % pe, pe.pos)
+            raise ParseError("--at: %s" % pe, pe.pos, pe.src)
         at_val = _Evaluator(None, 0).run(at_expr)
         if isinstance(at_val, Jet):
             raise ComputationError("--at must be a constant")
@@ -1185,11 +1192,10 @@ def _cmd_verify(args) -> int:
     lines = report_lines(rows, timings)
     failed = sum(1 for r in rows if not r.passed)
     if args.json:
-        payload = _payload(
-            "verify --suite %s" % args.suite, complex(failed), trace=lines
+        _emit(
+            _payload("verify --suite %s" % args.suite, complex(failed), trace=lines),
+            True,
         )
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)
@@ -1200,9 +1206,7 @@ def _cmd_catalog(args) -> int:
     if args.name is None:
         names = catalog_names()
         if args.json:
-            payload = _payload("catalog", complex(len(names)), trace=names)
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            _emit(_payload("catalog", complex(len(names)), trace=names), True)
         else:
             for n in names:
                 print(n)
@@ -1315,10 +1319,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except ParseError as ex:
-        src = getattr(args, "expr", "")
         sys.stderr.write("syntax error at column %d: %s\n" % (ex.pos + 1, ex))
-        if src and not str(ex).startswith("--at:") and ex.pos <= len(src):
-            sys.stderr.write("  %s\n  %s^\n" % (src, " " * ex.pos))
+        if ex.src:
+            sys.stderr.write("  %s\n  %s^\n" % (ex.src, " " * ex.pos))
         return 2
     except UsageError as ex:
         sys.stderr.write("usage error: %s\n" % ex)

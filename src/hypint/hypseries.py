@@ -19,14 +19,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet, jet_exp
-from .numkernel import (
-    _is_nonpositive_integer,
-    gamma_jet,
-    log_gamma_jet,
-    pochhammer,
-    reciprocal_gamma_jet,
-)
+from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet
+from .numkernel import _is_nonpositive_integer, gamma_product, pochhammer
 
 __all__ = [
     "SeriesError",
@@ -451,14 +445,13 @@ def _is_real(spec: PFQSpec, z: complex) -> bool:
     )
 
 
-def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, count=False):
+def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     """Partial sums of a direct or terminating series, up to `limit` terms.
 
     Yields (n, S_n, mag, stopped), with n the number of terms summed,
-    S_n the order+1 jet coefficients of the partial sum and, with
-    `count`, mag the sum of |t_k| over those terms, |.| the largest
-    coefficient modulus; otherwise mag is None, and the blocks skip the
-    work.  With scalar parameters the first _FIRST_CHECKPOINT terms run
+    S_n the order+1 jet coefficients of the partial sum and mag the sum
+    of |t_k| over those terms, |.| the largest coefficient modulus.
+    With scalar parameters the first _FIRST_CHECKPOINT terms run
     through the per-term recurrence, so a short series never touches
     numpy; a jet series starts from its first term alone.
     _block_partials sums the rest from _Terms blocks.  With `tol`, the
@@ -524,15 +517,12 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None, count=False):
                 ):
                     if small:
                         acc[0] = _ScalarSum(re, cre, im, cim)
-                        yield (k + 1, _sums(acc, overflow, k),
-                               mag if count else None, True)
+                        yield k + 1, _sums(acc, overflow, k), mag, True
                         return
                     small = True
                 else:
                     small = False
         acc[0] = _ScalarSum(re, cre, im, cim)
-    if not count:
-        mag = None
     yield n, _sums(acc, overflow, n - 1), mag, False
     if n < limit:
         terms = _Terms(spec, z, t, real, scalar)
@@ -667,7 +657,7 @@ def _sum_terminating(spec: PFQSpec, z: complex, tol: float) -> Jet:
     beyond it; jets keep the float sum.
     """
     n = spec.terminating_degree()
-    for _, s, mag, _ in _partials(spec, z, n + 1, count=True):
+    for _, s, mag, _ in _partials(spec, z, n + 1):
         pass
     if n > 0 and spec.all_scalar and mag * _ULP > tol * abs(s[0]):
         if n > _EXACT_MAX_DEGREE:
@@ -1064,13 +1054,8 @@ def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
     if spec.p == 2:
         a, b = spec.upper
         c = spec.lower[0]
-        return _gamma_quotient(
-            (c, c - a - b),
-            (c - a, c - b),
-            lambda: gamma_jet(c)
-            * gamma_jet(c - a - b)
-            * reciprocal_gamma_jet(c - a)
-            * reciprocal_gamma_jet(c - b),
+        return gamma_product(
+            ((c, 1), (c - a - b, 1), (c - a, -1), (c - b, -1)), spec.order
         )
     return _extrapolate_at_one(spec, tol, AT_ONE_CAP)
 
@@ -1136,33 +1121,9 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
     rest = tuple(a for i, a in enumerate(ups) if i != im)
     num = spec.lower + tuple(a - alpha for a in rest)
     den = rest + tuple(c - alpha for c in spec.lower)
-
-    def product() -> Jet:
-        coeff = as_jet(1, spec.order)
-        # Gamma(a - alpha)/Gamma(a) per other upper a, then Gamma(c)/Gamma(c - alpha)
-        for g, r in zip(num[spec.q :] + num[: spec.q], den):
-            coeff = coeff * gamma_jet(g) * reciprocal_gamma_jet(r)
-        return coeff
-
-    return AsymptoticTerm(alpha, _gamma_quotient(num, den, product), num, den)
-
-
-def _gamma_quotient(num: tuple, den: tuple, product) -> Jet:
-    """prod Gamma(num) / prod Gamma(den) as `product()` forms it.
-
-    Where a factor or the product leaves the double range, the quotient
-    is exp(sum log Gamma(num) - sum log Gamma(den)) instead.  A product
-    that is finite keeps its rounding.
-    """
-    try:
-        out = product()
-        if all(map(cmath.isfinite, out.coeffs)):
-            return out
-    except OverflowError:
-        pass
-    logs = as_jet(0, num[0].order)
-    for g in num:
-        logs = logs + log_gamma_jet(g)
-    for r in den:
-        logs = logs - log_gamma_jet(r)
-    return jet_exp(logs)
+    # Gamma(a - alpha)/Gamma(a) per other upper a, then Gamma(c)/Gamma(c - alpha)
+    factors = [
+        f for g, r in zip(num[spec.q :] + num[: spec.q], den)
+        for f in ((g, 1), (r, -1))
+    ]
+    return AsymptoticTerm(alpha, gamma_product(factors, spec.order), num, den)

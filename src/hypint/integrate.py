@@ -261,14 +261,16 @@ def _scalar_integrand(spec: IntegrandSpec, tol: float) -> Callable[[float], floa
     return g
 
 
-def _halfline_oracle_ready(body: Body) -> bool:
+def _halfline_oracle_skip(body: Body) -> Optional[str]:
     # The series engine reaches arbitrarily negative arguments only for
-    # entire series, the binomial 1F0, and 2F1 (argument reflection).
-    if not isinstance(body, PFQSpec):
-        return False
-    if body.p <= body.q:
-        return True
-    return (body.p, body.q) in ((1, 0), (2, 1))
+    # the binomial 1F0 and 2F1 (argument reflection); an entire series'
+    # terms cancel or overflow at the decay probe's large arguments.
+    if isinstance(body, PFQSpec):
+        if body.p <= body.q:
+            return "oracle skipped: entire series body not evaluable at large arguments"
+        if (body.p, body.q) in ((1, 0), (2, 1)):
+            return None
+    return "oracle skipped: series body not evaluable beyond the unit disk"
 
 
 def _oracle_check(
@@ -286,11 +288,11 @@ def _oracle_check(
     """
     if not halfline:
         q, step = quad_finite(integrand, 0.0, 1.0, tol), "oracle: quadrature on [0, 1]"
-    elif _halfline_oracle_ready(body):
-        q, step = quad_halfline(integrand, tol), "oracle: quadrature on [0, oo)"
     else:
-        skip = "oracle skipped: series body not evaluable beyond the unit disk"
-        return None, None, skip
+        skip = _halfline_oracle_skip(body)
+        if skip is not None:
+            return None, None, skip
+        q, step = quad_halfline(integrand, tol), "oracle: quadrature on [0, oo)"
     return q.value, abs(value - q.value), step
 
 

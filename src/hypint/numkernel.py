@@ -25,6 +25,7 @@ __all__ = [
     "digamma_jet",
     "pochhammer",
     "reciprocal_gamma_jet",
+    "gamma_product",
 ]
 
 Scalar = Union[int, float, complex]
@@ -100,6 +101,14 @@ def sinpi(z: Scalar) -> complex:
     return -s if r % 2 else s
 
 
+def _lanczos(z: complex) -> tuple:
+    """(t, a) with Gamma(z) = sqrt(2 pi) t^(z - 1/2) e^(-t) a, Re z >= 1/2."""
+    a = _LANCZOS_C[0]
+    for k in range(1, 15):
+        a += _LANCZOS_C[k] / (z - 1.0 + k)
+    return z + (_LANCZOS_G - 0.5), a
+
+
 def gamma(z: Scalar) -> complex:
     """Complex Gamma function; raises PoleError at 0, -1, -2, ...
 
@@ -112,10 +121,7 @@ def gamma(z: Scalar) -> complex:
     if z.real < 0.5:
         # reflection keeps the Lanczos sum on its accurate half-plane
         return math.pi / (sinpi(z) * gamma(1.0 - z))
-    a = _LANCZOS_C[0]
-    for k in range(1, 15):
-        a += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
+    t, a = _lanczos(z)
     try:
         out = math.sqrt(2.0 * math.pi) * t ** (z - 0.5) * cmath.exp(-t) * a
     except OverflowError:
@@ -214,19 +220,26 @@ def gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     return jet_exp(_log_gamma_taylor(z)) * gamma(z0)
 
 
-def _log_gamma_taylor(z: Jet) -> Jet:
-    """log Gamma(z) - log Gamma(z0): sum of psi^(m-1)(z0) d^m / m!, m >= 1."""
+def _taylor(z: Jet, derivs) -> Jet:
+    """f(z) = sum of derivs[m] d^m / m!, m = 0 .. order.
+
+    derivs[m] is f^(m)(z0) and d the nilpotent part of z.
+    """
     n = z.order
     delta = _jet((0j,) + z.coeffs[1:])
-    psi = _polygammas(z.coeffs[0], range(n))
-    expo = as_jet(0, n)
+    out = as_jet(derivs[0], n)
     dpow = as_jet(1, n)
     fact = 1.0
     for m in range(1, n + 1):
         dpow = jet_mul(dpow, delta)
         fact *= m
-        expo = expo + dpow * (psi[m - 1] / fact)
-    return expo
+        out = out + dpow * (derivs[m] / fact)
+    return out
+
+
+def _log_gamma_taylor(z: Jet) -> Jet:
+    """log Gamma(z) - log Gamma(z0): sum of psi^(m-1)(z0) d^m / m!, m >= 1."""
+    return _taylor(z, [0j] + _polygammas(z.coeffs[0], range(z.order)))
 
 
 def log_gamma(z: Scalar) -> complex:
@@ -241,10 +254,7 @@ def log_gamma(z: Scalar) -> complex:
         raise PoleError(z, "log_gamma")
     if z.real < 0.5:
         return math.log(math.pi) - cmath.log(sinpi(z)) - log_gamma(1.0 - z)
-    a = _LANCZOS_C[0]
-    for k in range(1, 15):
-        a += _LANCZOS_C[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
+    t, a = _lanczos(z)
     return 0.5 * math.log(2.0 * math.pi) + (z - 0.5) * cmath.log(t) - t + cmath.log(a)
 
 
@@ -262,17 +272,7 @@ def digamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     z0 = z.coeffs[0]
     if _is_nonpositive_integer(z0):
         raise PoleError(z0, "digamma_jet")
-    n = z.order
-    delta = _jet((0j,) + z.coeffs[1:])
-    psi = _polygammas(z0, range(n + 1))
-    out = as_jet(psi[0], n)
-    dpow = as_jet(1, n)
-    fact = 1.0
-    for m in range(1, n + 1):
-        dpow = jet_mul(dpow, delta)
-        fact *= m
-        out = out + dpow * (psi[m] / fact)
-    return out
+    return _taylor(z, _polygammas(z0, range(z.order + 1)))
 
 
 def reciprocal_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
@@ -292,21 +292,39 @@ def reciprocal_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
         # a constant jet has no Taylor terms to lose: the scalar gamma
         # reflects accurately by itself
         return jet_inverse(gamma_jet(z))
-    n = z.order
     # sin(pi z) jet around the base; cos(pi z0) = sin(pi (z0 + 1/2))
-    delta = _jet((0j,) + z.coeffs[1:])
     s0 = sinpi(z0)
     c0 = sinpi(z0 + 0.5)
-    sin_jet = as_jet(0, n)
-    dpow = as_jet(1, n)
-    fact = 1.0
-    for m in range(0, n + 1):
-        if m > 0:
-            dpow = jet_mul(dpow, delta)
-            fact *= m
-        deriv = (s0, c0, -s0, -c0)[m % 4] * math.pi**m
-        sin_jet = sin_jet + dpow * (deriv / fact)
+    sin_jet = _taylor(
+        z, [(s0, c0, -s0, -c0)[m % 4] * math.pi**m for m in range(z.order + 1)]
+    )
     return sin_jet * gamma_jet(1 - z) * (1.0 / math.pi)
+
+
+def gamma_product(factors, order: int = DEFAULT_ORDER) -> Jet:
+    """prod Gamma(g)^s over the (g, s) pairs of `factors`, s = +1 or -1.
+
+    gamma_jet and reciprocal_gamma_jet are multiplied in the given order
+    from the jet 1, so the empty product is 1.  Where a factor or the
+    product leaves the double range, the product is
+    exp(sum of s log Gamma(g)) instead; a finite product keeps its
+    rounding.
+    """
+    factors = tuple(factors)
+    try:
+        out = as_jet(1, order)
+        for g, s in factors:
+            f = gamma_jet(g, order) if s > 0 else reciprocal_gamma_jet(g, order)
+            out = jet_mul(out, f)
+        if all(map(cmath.isfinite, out.coeffs)):
+            return out
+    except OverflowError:
+        pass
+    logs = as_jet(0, order)
+    for g, s in factors:
+        lg = log_gamma_jet(g, order)
+        logs = logs + lg if s > 0 else logs - lg
+    return jet_exp(logs)
 
 
 def pochhammer(a: Jet | Scalar, k: int) -> Jet | complex:

@@ -10,6 +10,7 @@ slip cannot survive import.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .jets import Jet, as_jet, eps, extract, jet_pow
 from .numkernel import (
     digamma_jet,
     gamma_jet,
+    gamma_product,
     pochhammer,
     reciprocal_gamma_jet,
 )
@@ -133,14 +135,28 @@ def gauss_near_one(
     u = 1.0 - w if complement is None else complex(complement)
     first = PFQSpec((a, b), (a + b - c + 1,), order=spec.order)
     second = PFQSpec((c - a, c - b), (s + 1,), order=spec.order)
-    g_c = gamma_jet(c)
-    t1 = (
-        g_c
-        * gamma_jet(s)
-        * reciprocal_gamma_jet(c - a)
-        * reciprocal_gamma_jet(c - b)
-        * eval_series(first, u, tol=tol)
-    )
+    # plain products, not gamma_product: the two terms cancel, so the
+    # log-Gamma route's rounding would show in the sum
+    try:
+        g_c = gamma_jet(c)
+        leads = [
+            g_c * gamma_jet(s) * reciprocal_gamma_jet(c - a)
+            * reciprocal_gamma_jet(c - b)
+        ]
+        if u != 0:
+            leads.append(
+                jet_pow(as_jet(u, spec.order), s) * g_c * gamma_jet(-s)
+                * reciprocal_gamma_jet(a) * reciprocal_gamma_jet(b)
+            )
+        finite = all(cmath.isfinite(x) for lead in leads for x in lead.coeffs)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SeriesError(
+            "near-one connection coefficients of %s leave the double range"
+            % spec.describe()
+        )
+    t1 = leads[0] * eval_series(first, u, tol=tol)
     if u == 0:
         if s0.real > 0:
             # u^s kills the second branch.
@@ -148,15 +164,7 @@ def gauss_near_one(
         raise SeriesError(
             "2F1 diverges at argument 1 for c-a-b = %r" % s0
         )
-    t2 = (
-        jet_pow(as_jet(u, spec.order), s)
-        * g_c
-        * gamma_jet(-s)
-        * reciprocal_gamma_jet(a)
-        * reciprocal_gamma_jet(b)
-        * eval_series(second, u, tol=tol)
-    )
-    return t1 + t2
+    return t1 + leads[1] * eval_series(second, u, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +321,8 @@ def thomae_shift(
         raise SeriesError("Thomae shift needs positive excess on the left")
     if (c2 - a3).value.real <= 0:
         raise SeriesError("Thomae shift needs positive excess on the right")
-    prefactor = (
-        gamma_jet(c2)
-        * gamma_jet(sigma)
-        * reciprocal_gamma_jet(sigma + a3)
-        * reciprocal_gamma_jet(c2 - a3)
+    prefactor = gamma_product(
+        ((c2, 1), (sigma, 1), (sigma + a3, -1), (c2 - a3, -1)), spec.order
     )
     shifted = PFQSpec(
         (a3, c1 - a1, c1 - a2),

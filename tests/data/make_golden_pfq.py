@@ -190,7 +190,7 @@ RING = [
     ("3F2 0.99 e^1.5i", [2.3, 1.6, 1.0], [1.65, 2.0], 0.99, 1.5, None, 1e-11, False),
     # 4F3
     ("4F3 0.97 e^i", [0.3, 0.5, 0.7, 0.9], [1.1, 1.2, 0.2], 0.97, 1.0, None, 1e-11, False),
-    ("4F3 0.95 e^-2.2i", [0.5, 1.5, 1.0, 2.0], [2.5, 3.0, 2.5], 0.95, -2.2, None, 1e-11, False),
+    ("4F3 0.951 e^-2.2i", [0.5, 1.5, 1.0, 2.0], [2.5, 3.0, 2.5], 0.951, -2.2, None, 1e-11, False),
     ("4F3 0.99 e^0.4i", [0.2, 0.4, 0.6, 0.8], [1.1, 1.3, 1.5], 0.99, 0.4, None, 1e-11, False),
     # complex parameters
     ("2F1 complex 0.97", [0.3 + 0.5j, 0.7], [1.4 - 0.2j], 0.97, 1.2, None, 1e-11, False),

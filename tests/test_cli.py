@@ -519,6 +519,18 @@ def test_oracle_trace_and_halfline_skip_unchanged(capsys):
     assert payload["oracle"] is None and payload["discrepancy"] is None
 
 
+@pytest.mark.parametrize("expr", ["0F0(;;-x^2)", "0F1(;1;-x^2/4)"])
+def test_oracle_skips_entire_halfline_bodies(expr, capsys):
+    # the decay probe at x = 1e4 would overflow an entire series' terms
+    payload = _oracle_payload(expr, "inf", capsys)
+    assert payload["trace"][-1] == (
+        "oracle skipped: entire series body not evaluable at large arguments"
+    )
+    assert payload["oracle"] is None
+    want = math.sqrt(math.pi) / 2 if expr.startswith("0F0") else 1.0
+    assert payload["value"]["re"] == pytest.approx(want, rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # verify and catalog commands
 
@@ -592,6 +604,23 @@ def test_exit_2_on_parse_error(capsys):
     code, _, err = run_cli(["eval", "frob(x)"], capsys)
     assert code == 2
     assert "column 1" in err
+
+
+def test_parse_error_caret_under_the_text_it_points_into(capsys):
+    code, _, err = run_cli(["eval", "x^2", "--at", "1+frob"], capsys)
+    assert code == 2
+    assert err == (
+        "syntax error at column 3: --at: unknown identifier 'frob'\n"
+        "  1+frob\n"
+        "    ^\n"
+    )
+    code, _, err = run_cli(["eval", "1 + frob(x)", "--at", "1"], capsys)
+    assert code == 2
+    assert err == (
+        "syntax error at column 5: unknown identifier 'frob'\n"
+        "  1 + frob(x)\n"
+        "      ^\n"
+    )
 
 
 def test_exit_2_on_missing_at(capsys):

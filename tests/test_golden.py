@@ -115,6 +115,15 @@ def _ring_row(label):
     return next(r for r in GOLDEN["ring"] if r["label"] == label)
 
 
+def test_rows_lie_on_their_section_radii():
+    # z is rounded to doubles: a ring row that rounds below 0.95 would be
+    # summed by the direct route, not the ring's
+    for row in GOLDEN["ring"]:
+        assert 0.95 <= abs(complex(*row["z"])) < 1.0, row["label"]
+    for row in GOLDEN["circle"]:
+        assert abs(abs(complex(*row["z"])) - 1.0) <= 1e-14, row["label"]
+
+
 @pytest.mark.parametrize(
     "row", GOLDEN["circle"], ids=[r["label"] for r in GOLDEN["circle"]]
 )
@@ -136,10 +145,8 @@ def test_ring_work_is_bounded(row, monkeypatch):
     # every term a ring call asks for lies within the first 65,536, the
     # last checkpoint of the cap, and is asked for once; block(k0, m)
     # gives the terms k0+1 .. k0+m.  From |z| = 0.95 on, the near-one
-    # fallback at integer c-a-b included, it reads term blocks only; one
-    # row rounds to |z| just below 0.95, where the direct route's head runs
-    if abs(complex(*row["z"])) >= 0.95:
-        monkeypatch.setattr(hypseries, "_partials", _refuse_head)
+    # fallback at integer c-a-b included, it reads term blocks only
+    monkeypatch.setattr(hypseries, "_partials", _refuse_head)
     asked = []
     block = hypseries._Terms.block
 

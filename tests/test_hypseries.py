@@ -237,6 +237,20 @@ def test_near_one_connection_matches_scipy():
     assert via_connection == pytest.approx(special.hyp2f1(0.3, 0.4, 1.9, 0.99), abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [100.3, 150.3, 172.3])
+@pytest.mark.parametrize("z", [0.97, 0.99])
+def test_near_one_with_large_c_falls_back_to_the_sum(c, z):
+    # Gamma(c) Gamma(c-a-b) leaves the double range (Gamma(c) alone past
+    # c = 171.6): the connection refuses and the plain sum takes over
+    got = eval_series(PFQSpec((0.5, 0.5), (c,), order=0), z).value
+    assert got == pytest.approx(special.hyp2f1(0.5, 0.5, c, z), rel=1e-12, abs=1e-12)
+
+
+def test_pfaff_near_one_with_large_c_raises_typed_error():
+    with pytest.raises(SeriesError, match="double range"):
+        eval_series(PFQSpec((1.5, 0.7), (200.3,), order=0), -60.0)
+
+
 # -- evaluation: argument one ----------------------------------------------
 
 

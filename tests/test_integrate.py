@@ -422,3 +422,21 @@ def test_halfline_propagates_limit_clauses():
     with pytest.raises(LimitConditionError) as exc:
         definite_0_to_inf(IntegrandSpec(Fraction(0), wide))
     assert exc.value.clause == "width"
+
+
+@pytest.mark.parametrize(
+    "body, want",
+    [
+        (PFQSpec((), (), scale=-1.0, power=2, order=0), math.sqrt(math.pi) / 2),
+        (PFQSpec((), (1.0,), scale=-0.25, power=2, order=0), 1.0),
+    ],
+)
+def test_entire_halfline_bodies_skip_the_oracle(body, want):
+    # the Gaussian 0F0(;;-x^2) and J0 = 0F1(;1;-x^2/4): the quadrature's
+    # decay probe would evaluate them where their terms overflow
+    res = definite_0_to_inf(IntegrandSpec(Fraction(0), body))
+    assert res.value.value.real == pytest.approx(want, rel=1e-14)
+    assert res.oracle_value is None
+    assert res.steps[-1] == (
+        "oracle skipped: entire series body not evaluable at large arguments"
+    )

@@ -14,6 +14,7 @@ from hypint.numkernel import (
     digamma_jet,
     gamma,
     gamma_jet,
+    gamma_product,
     pochhammer,
     polygamma,
     reciprocal_gamma_jet,
@@ -259,3 +260,27 @@ def test_gamma_up_to_the_double_limit():
         gamma(171.7)
     with pytest.raises(OverflowError):
         gamma(200.0)
+
+
+def test_gamma_product_past_the_double_range():
+    # Gamma(180.5) Gamma(3.25) / (Gamma(179.75) Gamma(2)): the first two
+    # factors overflow alone, the product does not; math.lgamma is an
+    # independent reference
+    factors = ((180.5, 1), (179.75, -1), (3.25, 1), (2.0, -1))
+    want = math.exp(
+        math.lgamma(180.5) - math.lgamma(179.75) + math.lgamma(3.25)
+        - math.lgamma(2.0)
+    )
+    assert gamma_product(factors, 0).value == pytest.approx(want, rel=1e-12)
+    # an order-1 jet in the first argument: d/de log Gamma(180.5 + e) is
+    # psi(180.5), so the eps coefficient is psi(180.5) times the value
+    jet = gamma_product(((180.5 + eps(1), 1),) + factors[1:], 1)
+    assert jet.coeffs[0] == pytest.approx(want, rel=1e-12)
+    psi = math.log(180.5) - 1 / 361.0 - 1 / (12 * 180.5**2)
+    assert jet.coeffs[1] == pytest.approx(want * psi, rel=1e-10)
+
+
+def test_gamma_product_empty_and_in_range():
+    assert gamma_product((), 2) == as_jet(1, 2)
+    got = gamma_product(((5.0, 1), (0.5, -1)), 0).value
+    assert got == pytest.approx(24.0 / math.sqrt(math.pi), rel=1e-14)

@@ -245,6 +245,19 @@ def test_thomae_shift_quarter_pi_prefactor():
     assert lowers == pytest.approx([0.5, 1.0])
 
 
+def test_thomae_shift_prefactor_past_the_double_range():
+    # Gamma(180.25) and Gamma(178.75) overflow alone; the prefactor
+    # Gamma(c2) Gamma(s) / (Gamma(s + a3) Gamma(c2 - a3)) does not
+    spec = PFQSpec((0.5, 1.5, 2.0), (2.5, 180.25), order=0)
+    pref, _ = tr.thomae_shift(spec, upper_pivot=2, lower_pivot=0)
+    s = 2.5 + 180.25 - 4.0
+    want = math.exp(
+        math.lgamma(180.25) + math.lgamma(s) - math.lgamma(s + 2.0)
+        - math.lgamma(178.25)
+    )
+    assert pref.value.real == pytest.approx(want, rel=1e-11, abs=1e-11)
+
+
 def test_thomae_shift_demands_positive_excess():
     with pytest.raises(SeriesError, match="excess"):
         tr.thomae_shift(PFQSpec((1.0, 1.0, 1.0), (1.2, 1.3), order=0))
