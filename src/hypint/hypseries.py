@@ -969,6 +969,15 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
     if kind is Kind.POLYNOMIAL:
         return _sum_terminating(spec, z, tol)
     if kind is Kind.ENTIRE:
+        if spec.p == 0 and spec.q == 0:
+            # 0F0(;;z) = e^z, which the alternating series past z = -20
+            # cancels away
+            try:
+                return as_jet(cmath.exp(z), spec.order)
+            except OverflowError:
+                raise TermOverflowError(
+                    0, "0F0 at %r: e^z leaves the double range" % z
+                ) from None
         if spec.p == 1 and spec.q == 1 and z.real < 0.0:
             # Kummer, DLMF 13.2.39: 1F1(a;b;z) = e^z 1F1(b-a;b;-z).  Past
             # k = a - b the series at -z keeps one sign, so it does not

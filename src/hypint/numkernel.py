@@ -7,10 +7,12 @@ formulas, boundary values, limit coefficients) reduces to these.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from typing import Union
 
-from .jets import DEFAULT_ORDER, Jet, _jet, as_jet, jet_exp, jet_inverse, jet_mul
+from .jets import DEFAULT_ORDER, Jet, _jet, as_jet, jet_exp, jet_mul
 
 __all__ = [
     "PoleError",
@@ -174,26 +176,38 @@ def _polygammas(z: complex, orders) -> list:
 
 def _polygamma_tail(n: int, z: complex) -> complex:
     """The Bernoulli series for psi^(n)(z), for Re z >= _ASYMPTOTIC_RE."""
+    coefs = _tail_coefficients(n)
     if n == 0:
         s = cmath.log(z) - 0.5 / z
         zpow = 1.0 / (z * z)
         term = zpow
-        for k in range(1, 14):
-            s -= _BERN2K[k - 1] / (2 * k) * term
+        for c in coefs:
+            s -= c * term
             term *= zpow
         return s
     nfact = math.factorial(n)
     w = 1.0 / z
     s = math.factorial(n - 1) * w**n + nfact / 2.0 * w ** (n + 1)
     term = w ** (n + 2)
-    for k in range(1, 14):
-        coef = _BERN2K[k - 1] * math.factorial(2 * k + n - 1) / math.factorial(
-            2 * k
-        )
-        s += coef * term
+    for c in coefs:
+        s += c * term
         term *= w * w
     s *= (-1.0) ** (n - 1)
     return s
+
+
+@functools.cache
+def _tail_coefficients(n: int) -> tuple:
+    """The 13 Bernoulli coefficients of psi^(n)'s tail, made on first use.
+
+    B_2k / (2k) for the digamma, B_2k (2k+n-1)! / (2k)! above it.
+    """
+    if n == 0:
+        return tuple(_BERN2K[k - 1] / (2 * k) for k in range(1, 14))
+    return tuple(
+        _BERN2K[k - 1] * math.factorial(2 * k + n - 1) / math.factorial(2 * k)
+        for k in range(1, 14)
+    )
 
 
 def digamma(z: Scalar) -> complex:
@@ -212,34 +226,29 @@ def gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     """
     if not isinstance(z, Jet):
         z = as_jet(z, order)
-    z0 = z.coeffs[0]
-    if _is_nonpositive_integer(z0):
-        raise PoleError(z0, "gamma_jet")
-    if z.is_scalar:
-        return as_jet(gamma(z0), z.order)
-    return jet_exp(_log_gamma_taylor(z)) * gamma(z0)
+    return _gamma_jet_product(((z, 1),), z.order)
 
 
-def _taylor(z: Jet, derivs) -> Jet:
-    """f(z) = sum of derivs[m] d^m / m!, m = 0 .. order.
+def _taylor(z: Jet, derivs) -> list:
+    """Coefficients of f(z) = sum of derivs[m] d^m / m!, m = 0 .. order.
 
-    derivs[m] is f^(m)(z0) and d the nilpotent part of z.
+    derivs[m] is f^(m)(z0) and d the nilpotent part of z.  The lists
+    carry the jet ring's arithmetic: d^m is the Cauchy product of
+    d^(m-1) and d, as jet_mul forms it.
     """
-    n = z.order
-    delta = _jet((0j,) + z.coeffs[1:])
-    out = as_jet(derivs[0], n)
-    dpow = as_jet(1, n)
+    c = z.coeffs
+    n = len(c) - 1
+    rdelta = c[:0:-1] + (0j,)  # d = (0, c1, ..., cn), reversed
+    mul = operator.mul
+    out = [complex(derivs[0])] + [0j] * n
+    dpow = [1 + 0j] + [0j] * n
     fact = 1.0
     for m in range(1, n + 1):
-        dpow = jet_mul(dpow, delta)
+        dpow = [sum(map(mul, dpow[: k + 1], rdelta[n - k :])) for k in range(n + 1)]
         fact *= m
-        out = out + dpow * (derivs[m] / fact)
+        s = derivs[m] / fact
+        out = [o + (x * s + 0j) for o, x in zip(out, dpow)]
     return out
-
-
-def _log_gamma_taylor(z: Jet) -> Jet:
-    """log Gamma(z) - log Gamma(z0): sum of psi^(m-1)(z0) d^m / m!, m >= 1."""
-    return _taylor(z, [0j] + _polygammas(z.coeffs[0], range(z.order)))
 
 
 def log_gamma(z: Scalar) -> complex:
@@ -259,10 +268,16 @@ def log_gamma(z: Scalar) -> complex:
 
 
 def log_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
-    """log Gamma of a jet, on log_gamma's branch at the base value."""
+    """log Gamma of a jet, on log_gamma's branch at the base value.
+
+    Its Taylor terms are sum psi^(m-1)(z0) d^m / m!, m >= 1, with d the
+    nilpotent part of z.
+    """
     if not isinstance(z, Jet):
         z = as_jet(z, order)
-    return _log_gamma_taylor(z) + log_gamma(z.coeffs[0])
+    z0 = z.coeffs[0]
+    terms = _taylor(z, [0j] + _polygammas(z0, range(z.order)))
+    return _jet(tuple(terms)) + log_gamma(z0)
 
 
 def digamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
@@ -272,7 +287,7 @@ def digamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     z0 = z.coeffs[0]
     if _is_nonpositive_integer(z0):
         raise PoleError(z0, "digamma_jet")
-    return _taylor(z, _polygammas(z0, range(z.order + 1)))
+    return _jet(tuple(_taylor(z, _polygammas(z0, range(z.order + 1)))))
 
 
 def reciprocal_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
@@ -283,39 +298,85 @@ def reciprocal_gamma_jet(z: Jet | Scalar, order: int = DEFAULT_ORDER) -> Jet:
     are regular at the poles z0 = -m, where the reciprocal has a simple
     zero.  Next to a pole the exponent of gamma_jet holds polygammas of
     size n!/d^(n+1) that its exp would have to cancel; the reflection
-    has none.
+    has none.  A constant jet off the poles has no Taylor terms to lose:
+    the scalar gamma reflects accurately by itself.
     """
     if not isinstance(z, Jet):
         z = as_jet(z, order)
-    z0 = z.coeffs[0]
-    if z0.real >= 0.5 or (z.is_scalar and not _is_nonpositive_integer(z0)):
-        # a constant jet has no Taylor terms to lose: the scalar gamma
-        # reflects accurately by itself
-        return jet_inverse(gamma_jet(z))
-    # sin(pi z) jet around the base; cos(pi z0) = sin(pi (z0 + 1/2))
-    s0 = sinpi(z0)
-    c0 = sinpi(z0 + 0.5)
-    sin_jet = _taylor(
-        z, [(s0, c0, -s0, -c0)[m % 4] * math.pi**m for m in range(z.order + 1)]
-    )
-    return sin_jet * gamma_jet(1 - z) * (1.0 / math.pi)
+    return _gamma_jet_product(((z, -1),), z.order)
+
+
+def _gamma_jet_product(factors, order: int, lead: Jet | None = None) -> Jet:
+    """lead * prod Gamma(g)^s over the (g, s) pairs, s = +1 or -1.
+
+    Gamma(g) is Gamma(g0) exp(L(g)), with L(g) the sum of
+    psi^(m-1)(g0) d^m / m!, m >= 1, over the nilpotent part d of g: the
+    log-Gamma Taylor series, with no constant term (DLMF 5.15).  So the
+    product is one exp of the signed sum of the L, scaled by the values
+    Gamma(g0)^s one at a time in the given order: a product of constant
+    jets rounds as the chain lead * Gamma * ... of jet_mul does.  lead
+    None is the jet 1.  Factors whose nilpotent parts d agree up to sign
+    sum their polygammas first and share one Taylor series in d.  A
+    1/Gamma reflected as reciprocal_gamma_jet describes keeps its
+    sin(pi g) jet, and its Gamma(1 - g) joins the sum, so a base next to
+    a pole loses nothing.  Raises PoleError at a pole of a Gamma factor
+    and OverflowError where a value leaves the double range; a product
+    that leaves it comes back non-finite.
+    """
+    derivs = {}  # nilpotent part d -> summed s psi^(m-1), m = 0 .. order
+    sines = []
+    values = []
+    for g, s in factors:
+        g = as_jet(g, order)
+        z0 = g.coeffs[0]
+        pole = _is_nonpositive_integer(z0)
+        if s < 0 and z0.real < 0.5 and (pole or not g.is_scalar):
+            # the sin(pi g) jet; cos(pi z0) = sin(pi (z0 + 1/2))
+            s0, c0 = sinpi(z0), sinpi(z0 + 0.5)
+            cycle = (s0, c0, -s0, -c0)
+            sin_pi = [cycle[m % 4] * math.pi**m for m in range(order + 1)]
+            sines.append(_jet(tuple(_taylor(g, sin_pi))))
+            g, s = 1 - g, 1
+            values += (gamma(g.coeffs[0]), 1.0 / math.pi)
+        elif pole:
+            raise PoleError(z0, "gamma_jet")
+        else:
+            values.append(gamma(z0) if s > 0 else 1.0 / gamma(z0))
+        if g.is_scalar:
+            continue
+        d = g.coeffs[1:]
+        flip = tuple([-x for x in d])
+        # (-d)^m = (-1)^m d^m
+        d, r = (d, 1) if d in derivs or flip not in derivs else (flip, -1)
+        acc = derivs.setdefault(d, [0j] * (order + 1))
+        for m, psi in enumerate(_polygammas(g.coeffs[0], range(order)), 1):
+            acc[m] += s * r**m * psi
+    out = as_jet(1, order) if lead is None else lead
+    if derivs:
+        expo = None
+        for d, acc in derivs.items():
+            terms = _taylor(_jet((0j,) + d), acc)
+            expo = terms if expo is None else list(map(operator.add, expo, terms))
+        exp_sum = jet_exp(_jet(tuple(expo)))
+        out = exp_sum if lead is None else jet_mul(lead, exp_sum)
+    for sine in sines:
+        out = jet_mul(out, sine)
+    for v in values:
+        out = out * v
+    return out
 
 
 def gamma_product(factors, order: int = DEFAULT_ORDER) -> Jet:
     """prod Gamma(g)^s over the (g, s) pairs of `factors`, s = +1 or -1.
 
-    gamma_jet and reciprocal_gamma_jet are multiplied in the given order
-    from the jet 1, so the empty product is 1.  Where a factor or the
-    product leaves the double range, the product is
-    exp(sum of s log Gamma(g)) instead; a finite product keeps its
-    rounding.
+    _gamma_jet_product forms it from the jet 1, so the empty product is
+    1.  Where a Gamma value or the product leaves the double range, the
+    product is exp(sum of s log Gamma(g)) instead; a finite product
+    keeps its rounding.
     """
     factors = tuple(factors)
     try:
-        out = as_jet(1, order)
-        for g, s in factors:
-            f = gamma_jet(g, order) if s > 0 else reciprocal_gamma_jet(g, order)
-            out = jet_mul(out, f)
+        out = _gamma_jet_product(factors, order)
         if all(map(cmath.isfinite, out.coeffs)):
             return out
     except OverflowError:

@@ -18,11 +18,10 @@ from typing import Callable, Dict, Optional
 
 from .jets import Jet, as_jet, eps, extract, jet_pow
 from .numkernel import (
+    _gamma_jet_product,
     digamma_jet,
-    gamma_jet,
     gamma_product,
     pochhammer,
-    reciprocal_gamma_jet,
 )
 from .hypseries import (
     DEFAULT_TOL,
@@ -135,18 +134,22 @@ def gauss_near_one(
     u = 1.0 - w if complement is None else complex(complement)
     first = PFQSpec((a, b), (a + b - c + 1,), order=spec.order)
     second = PFQSpec((c - a, c - b), (s + 1,), order=spec.order)
-    # plain products, not gamma_product: the two terms cancel, so the
-    # log-Gamma route's rounding would show in the sum
+    # each lead is one exp of summed log-Gamma series, but without
+    # gamma_product's log-Gamma fallback: the two terms cancel, so that
+    # route's rounding would show in the sum
     try:
-        g_c = gamma_jet(c)
         leads = [
-            g_c * gamma_jet(s) * reciprocal_gamma_jet(c - a)
-            * reciprocal_gamma_jet(c - b)
+            _gamma_jet_product(
+                ((c, 1), (s, 1), (c - a, -1), (c - b, -1)), spec.order
+            )
         ]
         if u != 0:
             leads.append(
-                jet_pow(as_jet(u, spec.order), s) * g_c * gamma_jet(-s)
-                * reciprocal_gamma_jet(a) * reciprocal_gamma_jet(b)
+                _gamma_jet_product(
+                    ((c, 1), (-s, 1), (a, -1), (b, -1)),
+                    spec.order,
+                    lead=jet_pow(as_jet(u, spec.order), s),
+                )
             )
         finite = all(cmath.isfinite(x) for lead in leads for x in lead.coeffs)
     except OverflowError:
@@ -181,12 +184,10 @@ def kummer_at_minus1(a, b) -> Jet:
     """
     a, b = _jets(a, b)
     order = a.order
-    return (
-        jet_pow(as_jet(2.0, order), -a)
-        * gamma_jet(1 + a - b)
-        * math.sqrt(math.pi)
-        * reciprocal_gamma_jet((1 + a) * 0.5)
-        * reciprocal_gamma_jet(1 + a * 0.5 - b)
+    return _gamma_jet_product(
+        ((1 + a - b, 1), ((1 + a) * 0.5, -1), (1 + a * 0.5 - b, -1)),
+        order,
+        lead=jet_pow(as_jet(2.0, order), -a) * math.sqrt(math.pi),
     )
 
 
@@ -351,11 +352,13 @@ def special_sum_15_8_24_derived(e) -> Jet:
     lead = math.sqrt(math.pi) * jet_pow(em, -2) * jet_pow(
         as_jet(2.0, order), -(half + e)
     )
-    t1 = em * reciprocal_gamma_jet(0.25 + e * 0.5) * reciprocal_gamma_jet(
-        1.25 - e * 0.5
+    t1 = _gamma_jet_product(
+        ((0.25 + e * 0.5, -1), (1.25 - e * 0.5, -1)), order, lead=em
     )
-    t2 = 2.0 * reciprocal_gamma_jet(-0.25 + e * 0.5) * reciprocal_gamma_jet(
-        0.75 - e * 0.5
+    t2 = _gamma_jet_product(
+        ((-0.25 + e * 0.5, -1), (0.75 - e * 0.5, -1)),
+        order,
+        lead=as_jet(2.0, order),
     )
     return lead * (t1 - t2)
 

@@ -3,7 +3,10 @@
 Run from the repository root with mpmath installed:
 
     python tests/data/make_golden_pfq.py
+    python tests/data/make_golden_pfq.py --section near_one
 
+A full run takes about 24 minutes.  `--section NAME` rebuilds that one
+section and copies every other one from the committed JSON unchanged.
 mpmath is only needed here.  The tests read the JSON and never import
 it.  Every number is a jet: the list of Taylor coefficients c_0 .. c_n
 in the perturbation eps of one parameter, each as [re, im].
@@ -18,7 +21,9 @@ Sections:
   singularity in that parameter (R >= 1 in every row here).
 - reciprocal_gamma: 1/Gamma(z0 + eps) to eps^4 next to the poles, by
   mp.taylor (numerical differentiation at raised precision).
-- near_one: 2F1 close to z = 1 with an order-4 jet in a, by mp.taylor.
+- near_one: 2F1 jets at orders 1, 2 and 4 where the engine takes the
+  near-one connection: real z in (0.95, 1), and z = -30 and -500, which
+  Pfaff moves there.  By mp.taylor.
 - circle: 2F1, 3F2 and 4F3 on |z| = 1 off z = 1, by mpmath's hyper;
   jets by Cauchy's formula as for at_one.  Rows marked `raises` are
   beyond the engine's reach and must end in a typed SeriesError.
@@ -31,6 +36,7 @@ formula at 30 digits on two circles (r, N) = (0.15, 24) and (0.2, 28).
 The script stops if the two differ by more than 1e-17 relative.
 """
 
+import argparse
 import cmath
 import json
 import math
@@ -105,10 +111,25 @@ CLOSED = {
 
 RGAMMA_BASES = [-0.99976, -2.5, -0.3, 0.2, -5.00001, -1.0 + 1e-9]
 
-# series seed 58, op 1339 of the benchmark: a near-one 2F1, order-4 jet in a
+# (label, upper, lower, z, jet, tol)
 NEAR_ONE = [
+    # series seed 58, op 1339 of the benchmark: order-4 jet in a
     ("near-one jet 4", [2.2341790188461954, 0.13939992765864434],
      [1.2344192842244488], 0.9893562395294302, ("upper", 0, 4), 1e-12),
+    # c-a-b across -1.4 .. 2.4, at least 0.05 from an integer
+    ("c-a-b -1.4 jet 1", [1.3, 0.9], [0.8], 0.97, ("upper", 0, 1), 1e-12),
+    ("c-a-b -0.55 jet 4", [1.05, 0.7], [1.2], 0.99, ("upper", 1, 4), 1e-12),
+    # the two terms of its eps^2 coefficient, about 112 each, cancel to
+    # 0.18, and their rounding leaves the row 8e-13 off
+    ("c-a-b 0.95 jet 2", [0.65, 0.4], [2.0], 0.96, ("lower", 0, 2), 1e-11),
+    ("c-a-b 2.4 jet 2", [0.6, 0.75], [3.75], 0.98, ("lower", 0, 2), 1e-12),
+    # 1/Gamma jets by reflection: a < 1/2, then c-a < 1/2 (and c-b)
+    ("reflected a jet 4", [0.3, 1.3], [1.2], 0.97, ("upper", 0, 4), 1e-12),
+    ("reflected c-a jet 2", [1.1, 0.45], [1.4], 0.985, ("upper", 0, 2), 1e-12),
+    ("reflected c-a, c-b jet 4", [0.9, 1.2], [1.25], 0.975, ("lower", 0, 4), 1e-12),
+    # Pfaff moves these to z/(z-1) = 30/31 and 500/501
+    ("pfaff -30 jet 4", [0.7, 0.3], [1.6], -30.0, ("upper", 1, 4), 1e-12),
+    ("pfaff -500 jet 1", [1.2, 0.8], [2.3], -500.0, ("lower", 0, 1), 1e-12),
 ]
 
 
@@ -323,7 +344,7 @@ def near_one_ref(upper, lower, z, jet):
     return at_two_precisions(lambda: mp.taylor(f, x0, order))
 
 
-def main():
+def build_at_one():
     rows = []
     for label, upper, lower, jet, tol in AT_ONE:
         start = time.time()
@@ -337,6 +358,10 @@ def main():
             "tol": tol,
         })
         print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    return rows
+
+
+def build_reciprocal_gamma():
     rgamma = []
     for b in RGAMMA_BASES:
         rgamma.append({
@@ -346,8 +371,13 @@ def main():
             ),
             "tol": 1e-14,
         })
+    return rgamma
+
+
+def build_near_one():
     near = []
     for label, upper, lower, z, jet, tol in NEAR_ONE:
+        start = time.time()
         near.append({
             "label": label,
             "upper": [pair(u) for u in upper],
@@ -357,6 +387,11 @@ def main():
             "value": near_one_ref(upper, lower, z, jet),
             "tol": tol,
         })
+        print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    return near
+
+
+def build_circle():
     circle = []
     for label, upper, lower, theta, jet, tol, raises in CIRCLE:
         start = time.time()
@@ -372,6 +407,10 @@ def main():
             "raises": raises,
         })
         print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    return circle
+
+
+def build_ring():
     ring = []
     for label, upper, lower, r, theta, jet, tol, raises in RING:
         start = time.time()
@@ -388,15 +427,35 @@ def main():
             "raises": raises,
         })
         print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
-    doc = {
-        "source": "mpmath %s, tests/data/make_golden_pfq.py" % mp.__version__,
-        "error": "max_k |got_k - ref_k| / max(1, max_k |ref_k|)",
-        "at_one": rows,
-        "reciprocal_gamma": rgamma,
-        "near_one": near,
-        "circle": circle,
-        "ring": ring,
-    }
+    return ring
+
+
+SECTIONS = {
+    "at_one": build_at_one,
+    "reciprocal_gamma": build_reciprocal_gamma,
+    "near_one": build_near_one,
+    "circle": build_circle,
+    "ring": build_ring,
+}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--section", choices=sorted(SECTIONS),
+        help="rebuild this section only; the others are copied unchanged",
+    )
+    args = parser.parse_args(argv)
+    if args.section:
+        doc = json.loads(OUT.read_text())
+        doc[args.section] = SECTIONS[args.section]()
+    else:
+        doc = {
+            "source": "mpmath %s, tests/data/make_golden_pfq.py" % mp.__version__,
+            "error": "max_k |got_k - ref_k| / max(1, max_k |ref_k|)",
+        }
+        for name, build in SECTIONS.items():
+            doc[name] = build()
     OUT.write_text(json.dumps(doc, indent=1) + "\n")
 
 

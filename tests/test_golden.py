@@ -16,7 +16,7 @@ import pytest
 from hypint import hypseries
 from hypint.hypseries import PFQSpec, SeriesError, eval_at_one, eval_series
 from hypint.jets import eps
-from hypint.numkernel import reciprocal_gamma_jet
+from hypint.numkernel import _gamma_jet_product, reciprocal_gamma_jet
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_pfq.json").read_text()
@@ -91,11 +91,44 @@ def test_reciprocal_gamma_near_poles(row):
 
 
 @pytest.mark.parametrize(
+    "row", GOLDEN["reciprocal_gamma"],
+    ids=[repr(r["base"]) for r in GOLDEN["reciprocal_gamma"]],
+)
+def test_gamma_jet_product_near_poles(row):
+    # Gamma(3.5 + eps) cancels against its reciprocal inside the summed
+    # exponent, and the reflected 1/Gamma keeps the accuracy of its sine
+    e = eps(4)
+    got = _gamma_jet_product(
+        ((3.5 + e, 1), (row["base"] + e, -1), (3.5 + e, -1)), 4
+    )
+    assert _error(got, row["value"]) <= row["tol"]
+
+
+@pytest.mark.parametrize(
     "row", GOLDEN["near_one"], ids=[r["label"] for r in GOLDEN["near_one"]]
 )
 def test_near_one_golden(row):
     got = eval_series(_jet_params(row), row["z"])
     assert _error(got, row["value"]) <= row["tol"]
+
+
+def test_near_one_rows_take_the_connection(monkeypatch):
+    # every near_one row, the Pfaff-moved ones included, is summed by
+    # the near-one connection
+    from hypint import transforms
+
+    seen = []
+    connect = transforms.gauss_near_one
+
+    def recording(spec, *args, **kwargs):
+        seen.append(spec)
+        return connect(spec, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "gauss_near_one", recording)
+    for row in GOLDEN["near_one"]:
+        del seen[:]
+        eval_series(_jet_params(row), row["z"])
+        assert len(seen) == 1, row["label"]
 
 
 def _check_row(row):

@@ -589,6 +589,33 @@ def test_exp_up_to_the_overflow_threshold():
         eval_series(PFQSpec((), (), order=0), 710.0)
 
 
+@pytest.mark.parametrize("x", [-20.0, -50.0, -100.0, -745.0, 3.5, 700.0])
+def test_exp_is_closed_form_on_the_real_axis(x):
+    # the alternating series cancels away past x = -20: it returned
+    # 6.4e-9 at -20, -1399 at -50 and 2.3e26 at -100
+    got = eval_series(PFQSpec((), (), order=0), x)
+    assert got.value.real == pytest.approx(math.exp(x), rel=1e-15, abs=0.0)
+    assert got.value.imag == 0.0
+
+
+@pytest.mark.parametrize("z", [-60.0 + 2.0j, 1.0 + 2.0j, -3.0 - 40.0j, 650.0 + 0.5j])
+def test_exp_is_closed_form_off_the_axis(z):
+    got = eval_series(PFQSpec((), (), order=0), z).value
+    assert abs(got - cmath.exp(z)) <= 1e-15 * abs(cmath.exp(z))
+
+
+def test_exp_jet_is_constant():
+    # 0F0 has no parameter for the perturbation to move
+    got = eval_series(PFQSpec((), (), scale=-1.0, power=2, order=3), 7.0)
+    assert got.value.real == pytest.approx(math.exp(-49.0), rel=1e-15)
+    assert got.coeffs[1:] == (0j, 0j, 0j)
+
+
+def test_exp_past_the_double_range_is_a_term_overflow():
+    with pytest.raises(TermOverflowError):
+        eval_series(PFQSpec((), (), order=2), 709.9 + 3.0j)
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_overflowing_terms_raise_at_once(order):
     a = 2.5 + eps(1) if order else 2.5

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypint.jets import Jet, as_jet, eps, extract
+from hypint.jets import Jet, as_jet, eps, extract, jet_mul
 from hypint.numkernel import (
     PoleError,
+    _gamma_jet_product,
     _polygammas,
     digamma,
     digamma_jet,
@@ -284,3 +285,40 @@ def test_gamma_product_empty_and_in_range():
     assert gamma_product((), 2) == as_jet(1, 2)
     got = gamma_product(((5.0, 1), (0.5, -1)), 0).value
     assert got == pytest.approx(24.0 / math.sqrt(math.pi), rel=1e-14)
+
+
+# (g0, k, s): the factor Gamma(g0 + k eps)^s.  1/Gamma(0.3 + eps)
+# reflects; Gamma(0.45 - eps/2) does not
+_JET_FACTORS = [(2.3, 1.0, 1), (0.3, 1.0, -1), (1.7, -1.0, -1), (0.45, -0.5, 1),
+                (4.1, 2.0, -1)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_gamma_jet_product_against_polygamma_series(order):
+    # the product's log is sum s log Gamma(g0 + k eps), whose eps^m
+    # coefficient is sum s k^m psi^(m-1)(g0) / m!; scipy's gamma and
+    # polygamma are independent references, and exp of a series with
+    # zero constant term obeys n b_n = sum_j j a_j b_(n-j)
+    from scipy import special
+
+    logs = [0.0] * (order + 1)
+    value = 1.0
+    for g0, k, s in _JET_FACTORS:
+        value *= float(special.gamma(g0)) ** s
+        for m in range(1, order + 1):
+            psi = float(special.polygamma(m - 1, g0))
+            logs[m] += s * k**m * psi / math.factorial(m)
+    want = [1.0]
+    for n in range(1, order + 1):
+        want.append(sum(j * logs[j] * want[n - j] for j in range(1, n + 1)) / n)
+    factors = [(g0 + k * eps(order), s) for g0, k, s in _JET_FACTORS]
+    got = _gamma_jet_product(factors, order)
+    for u, v in zip(got.coeffs, want):
+        assert u == pytest.approx(value * v, rel=1e-13)
+    # a lead multiplies the product; order 0 is the plain chain of values
+    lead = 0.7 - eps(order)
+    with_lead = _gamma_jet_product(factors, order, lead=lead)
+    for u, v in zip(with_lead.coeffs, jet_mul(lead, got).coeffs):
+        assert u == pytest.approx(v, rel=1e-14, abs=1e-14 * abs(value))
+    plain = _gamma_jet_product([(g0, s) for g0, _, s in _JET_FACTORS], 0)
+    assert plain.value == pytest.approx(value, rel=1e-14)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hypint.oracle import (
     OracleError,
-    _Counted,
     _tanh_sinh,
     agm,
     ellipk_agm,
@@ -41,7 +40,7 @@ def test_catalan_literal_against_alternating_series():
     [(lambda x: x**-0.5, 2.0), (math.log, -1.0), (lambda x: x**-0.9, 10.0)],
 )
 def test_tanh_sinh_resolves_singularities_at_zero(f, want):
-    val, _ = _tanh_sinh(_Counted(f), 0.0, 1.0, 1e-12)
+    val, _, _ = _tanh_sinh(f, 0.0, 1.0, 1e-12)
     assert val == pytest.approx(want, rel=1e-13)
 
 
@@ -49,7 +48,7 @@ def test_tanh_sinh_refuses_a_singularity_at_the_right_endpoint():
     # nodes near 1 are rounded, so only an endpoint at 0 keeps full
     # resolution: the levels never settle, and no number comes back
     with pytest.raises(OracleError):
-        _tanh_sinh(_Counted(lambda x: 1.0 / math.sqrt(1.0 - x * x)), 0.0, 1.0, 1e-12)
+        _tanh_sinh(lambda x: 1.0 / math.sqrt(1.0 - x * x), 0.0, 1.0, 1e-12)
 
 
 def test_integrand_overflow_is_an_oracle_error():
@@ -191,6 +190,33 @@ def test_error_estimates_honest():
         assert abs(q.value - truth) <= 5.0 * q.error_estimate, label
         assert q.error_estimate >= 0.0
         assert q.evaluations > 0
+
+
+@pytest.mark.parametrize(
+    "f, tanh_sinh",
+    [(math.sqrt, False), (lambda x: math.log(x) ** 4 * x**-0.7, True)],
+)
+def test_evaluations_count_every_integrand_call(f, tanh_sinh, monkeypatch):
+    # QUADPACK's own count, plus the tanh-sinh nodes where it stalls
+    import hypint.oracle as oracle
+
+    used = []
+    run = oracle._tanh_sinh
+
+    def spy(*args):
+        used.append(args)
+        return run(*args)
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    monkeypatch.setattr(oracle, "_tanh_sinh", spy)
+    q = quad_finite(counted, 0.0, 1.0)
+    assert bool(used) == tanh_sinh
+    assert q.evaluations == len(calls)
 
 
 def test_arctan_tail_truth_is_right():

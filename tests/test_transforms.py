@@ -106,6 +106,36 @@ def test_near_one_connection_value():
     assert got == pytest.approx(special.hyp2f1(0.3, 0.4, 1.9, 0.97), abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        # 1/Gamma(a) reflects, a = 0.3 < 1/2
+        ((0.3 + eps(4), 1.3), (1.2,)),
+        # 1/Gamma(c-a) and 1/Gamma(c-b) reflect
+        ((2.2, 0.9), (1.25 + eps(4),)),
+    ],
+)
+def test_near_one_takes_one_exp_per_lead(monkeypatch, upper, lower):
+    # each lead's Gamma factors share one jet_exp of their summed
+    # log-Gamma series; the third is u^s's jet_pow.  A product of single
+    # Gamma jets took 5 or 6
+    from hypint import jets, numkernel
+
+    calls = []
+
+    def counting(f):
+        def wrapped(a):
+            calls.append(a)
+            return f(a)
+
+        return wrapped
+
+    for mod in (jets, numkernel):
+        monkeypatch.setattr(mod, "jet_exp", counting(mod.jet_exp))
+    tr.gauss_near_one(PFQSpec(upper, lower, order=4), 0.97)
+    assert 0 < len(calls) <= 3
+
+
 def test_gauss_from_pfaff_limit_instance():
     a, b, c = 0.3, 0.7, 2.3
     x = -1.0e6
