@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypseries import PFQSpec, _ScalarSum, eval_series
+from .hypseries import _ULP, PFQSpec, _ScalarSum, _block_partials, eval_series
 from .jets import Jet, eps
 
 __all__ = [
@@ -32,7 +32,8 @@ __all__ = [
     "eval_3F2_example_closed",
 ]
 
-BLOCK_CAP = 2048
+# the most diagonals a double series may take to settle
+DIAGONAL_CAP = 4096
 
 _KINDS = ("F1", "F2", "F1tilde")
 
@@ -49,6 +50,8 @@ class DoubleSeriesSpec:
         weights (a1)_{j+k}(a2)_{j+k}/((g1)_{j+k}(g2)_{j+k})
                 * (b1)_j (b2)_j/((c)_j j!) * (b)_k/k!.
 
+    The outer weight depends on n = j+k alone, so eval_double sums the
+    series in n, each term a Cauchy product of the two inner factors.
     The second upper and the lower of an F1tilde x-block may be first-order
     jets; a 0/0 Pochhammer factor is then resolved by the slope quotient,
     which is the limit the printed series means when both parameters vanish
@@ -159,68 +162,58 @@ def _weight_trio(spec: DoubleSeriesSpec):
     return outer, wx, wy
 
 
-def eval_double(spec: DoubleSeriesSpec, tol: float = 1e-12) -> complex:
-    """Sum the double series over expanding squares.
+def eval_double(spec: DoubleSeriesSpec) -> complex:
+    """Sum the double series to double precision as one series in n = j+k.
 
-    The square side doubles until two consecutive L-shaped increments fall
-    below tol; at the arguments this module cares about (modulus 1/3) the
-    terms decay geometrically along every diagonal, so the shell sum bounds
-    the remaining tail up to a constant.  A shell is one outer product of
-    the inner factors X(j) x^j and Y(k) y^k, formed before the outer weight
-    O(j+k) multiplies in, each shell added exactly with math.fsum.  A
-    non-finite shell raises ValueError.
+    The terms are the diagonal sums T_n of _Diagonals.  They are summed
+    on the pFq block kernel, hypseries._block_partials, until 4
+    successive terms have |T_n| <= 2^-53 max(1, |S_n|).  The first block
+    holds T_0 = 1 too, so a series that settles inside it is one exactly
+    rounded math.fsum of its terms.  A series still running after
+    DIAGONAL_CAP diagonals, or a non-finite term or partial sum, raises
+    ValueError.
     """
     if not spec.in_domain():
         raise ValueError(
             "arguments %r outside the convergence domain of %s"
             % (spec.args, spec.kind)
         )
-    x, y = (complex(a) for a in spec.args)
-    outer, wx, wy = _weight_trio(spec)
-    total = _ScalarSum()
-    prev_side = 0
-    side = 8
-    calm = 0
-    while side <= BLOCK_CAP:
-        o = np.array(outer.upto(2 * side))
-        with np.errstate(over="ignore", invalid="ignore"):
-            fx = np.array(wx.upto(side)[:side]) * _powers(x, side)
-            fy = np.array(wy.upto(side)[:side]) * _powers(y, side)
-            inner = np.multiply.outer(fx, fy)
-            inner[:prev_side, :prev_side] = 0.0  # summed in earlier shells
-            # where the inner factors vanish the outer weight, which may
-            # have overflowed, is left out
-            live = inner != 0
-            vals = o[np.add.outer(np.arange(side), np.arange(side))[live]] * inner[live]
-        try:
-            if not np.isfinite(vals).all():
-                raise OverflowError
-            shell = complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
-        except OverflowError:  # a term, or the shell's sum
-            raise ValueError(
-                "double series %s at %r: a term or shell sum left the double range"
-                % (spec.kind, spec.args)
-            ) from None
-        total.add(shell)
-        if abs(shell) <= tol * max(1.0, abs(total.value())):
-            calm += 1
-            if calm >= 2:
-                return total.value()
-        else:
-            calm = 0
-        prev_side = side
-        side *= 2
-    raise ValueError(
-        "double series did not settle within %d x %d terms"
-        % (BLOCK_CAP, BLOCK_CAP)
-    )
+    where = "double series %s at %r" % (spec.kind, spec.args)
+    for _, s, _, stopped in _block_partials(
+        _Diagonals(spec), [_ScalarSum()], 0, DIAGONAL_CAP, _ULP, 4, 0,
+        lambda n: ValueError(
+            "%s: diagonal %d or its partial sum left the double range" % (where, n)
+        ),
+    ):
+        if stopped:
+            return s[0]
+    raise ValueError("%s did not settle within %d diagonals" % (where, DIAGONAL_CAP))
 
 
-def _powers(w: complex, n: int) -> np.ndarray:
-    """1, w, ..., w^(n-1) as a running product."""
-    p = np.full(n, w)
-    p[0] = 1.0
-    return np.cumprod(p)
+class _Diagonals:
+    """Terms T_n = O(n) D_n, D_n = sum over j of X(j) x^j Y(n-j) y^(n-j).
+
+    Each block's D_n come from one np.convolve of the inner factors'
+    prefixes.  Where D_n vanishes the outer weight, which may have
+    overflowed, is left out.
+    """
+
+    running = False  # a term may be non-finite on its own
+
+    def __init__(self, spec: DoubleSeriesSpec) -> None:
+        x, y = (complex(a) for a in spec.args)
+        self.outer, wx, wy = _weight_trio(spec)
+        self.inner = ((wx, x), (wy, y))
+
+    def block(self, k0: int, m: int) -> np.ndarray:
+        """Terms k0+1 .. k0+m as the rows of an (m, 1) array."""
+        last = k0 + m
+        # X(j) x^j and Y(k) y^k up to j, k = last, the powers a running product
+        fx, fy = (np.array(w.upto(last)[: last + 1]) * np.cumprod([1.0] + [z] * last)
+                  for w, z in self.inner)
+        d = np.convolve(fx, fy)[k0 + 1 : last + 1]
+        o = np.array(self.outer.upto(last)[k0 + 1 : last + 1])
+        return np.where(d != 0, o * d, 0.0)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +292,9 @@ def ialpha_series_rep(alpha, variant: int = 0) -> DoubleSeriesSpec:
     )
 
 
-def ialpha_value(alpha, variant: int = 0, tol: float = 1e-12) -> float:
+def ialpha_value(alpha, variant: int = 0) -> float:
     """I(alpha) through the double series, prefactor included."""
-    s = eval_double(ialpha_series_rep(alpha, variant), tol=tol)
+    s = eval_double(ialpha_series_rep(alpha, variant))
     return (2.0 ** -float(alpha)) * s.real
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = [
     "OracleError",
@@ -127,24 +127,28 @@ def quad_finite(
     return QuadratureResult(val, err, evals + calls)
 
 
-def _decays(f: Callable[[float], float]) -> bool:
-    # Algebraic decay faster than 1/x is required for the half-line
-    # substitution to produce an integrable image near t = 1.
+def _decays(f: Callable[[float], float]) -> Optional[int]:
+    """How many calls of f it took to see algebraic decay faster than 1/x,
+    or None if the probes saw none.
+
+    That decay is required for the half-line substitution to produce an
+    integrable image near t = 1.
+    """
     probes = ((1e4, 1e6), (1e6, 1e8))
-    for x0, x1 in probes:
+    for i, (x0, x1) in enumerate(probes, 1):
         try:
             f0, f1 = abs(f(x0)), abs(f(x1))
         except (OverflowError, ValueError, ZeroDivisionError):
-            return False
+            return None
         if f0 == 0.0 and f1 == 0.0:
-            return True
+            return 2 * i
         if f0 > 0.0 and f1 == 0.0:
-            return True
+            return 2 * i
         if f0 > 0.0 and f1 > 0.0:
             slope = math.log(f1 / f0) / math.log(x1 / x0)
             if slope < -1.0001:
-                return True
-    return False
+                return 2 * i
+    return None
 
 
 def quad_halfline(
@@ -163,7 +167,8 @@ def quad_halfline(
     singular ends, x = 0 and x = oo, land at the coordinate origin where
     floating point keeps full relative resolution.
     """
-    if not _decays(f):
+    probed = _decays(f)
+    if probed is None:
         raise OracleError("integrand shows no algebraic decay faster than 1/x")
     if substitution == "rational":
 
@@ -197,7 +202,7 @@ def quad_halfline(
     return QuadratureResult(
         lo.value + hi.value,
         lo.error_estimate + hi.error_estimate,
-        lo.evaluations + hi.evaluations + 4,
+        lo.evaluations + hi.evaluations + probed,
     )
 
 

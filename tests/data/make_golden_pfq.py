@@ -30,6 +30,12 @@ Sections:
 - ring: 2F1, 3F2 and 4F3 at 0.95 <= |z| < 1, where the engine sums
   plainly or by Wynn's epsilon, as for circle.  Where mpmath's
   Euler-Maclaurin tail does not converge, its series is summed directly.
+- appell: Appell's F1 and F2 by mpmath's appellf1 and appellf2, for
+  multivar.eval_double.  F1 at moduli 1/3, 0.6 and 0.75 with arguments
+  of one sign, of opposite signs (the diagonal sums cancel) and complex;
+  F2 at |x| + |y| up to 0.6.  Parameters are in DoubleSeriesSpec order:
+  F1 outer (a, c), inner_x (b1,), inner_y (b2,); F2 outer (a,),
+  inner_x (b1, c1), inner_y (b2, c2).
 
 Each reference is computed twice, at 20 and 30 digits, or for Cauchy's
 formula at 30 digits on two circles (r, N) = (0.15, 24) and (0.2, 28).
@@ -241,6 +247,31 @@ RING = [
     ("raises cancelled", [6.0, 5.0], [1.0], 0.998, 0.3, None, 1e-11, True),
 ]
 
+# (label, kind, outer, inner_x, inner_y, (x, y), tol relative)
+APPELL = [
+    ("F1 1/3 same sign", "F1", [0.7, 1.9], [0.4], [2.2], (1 / 3, 1 / 3), 1e-13),
+    ("F1 1/3 opposite", "F1", [0.7, 1.9], [0.4], [2.2], (1 / 3, -1 / 3), 1e-13),
+    ("F1 1/3 complex", "F1", [1.2, 2.5], [0.5], [0.8],
+     (cmath.rect(1 / 3, 1.0), cmath.rect(1 / 3, -2.5)), 1e-13),
+    ("F1 0.6 same sign", "F1", [0.5, 2.0], [1.5], [0.75], (0.6, 0.45), 1e-13),
+    ("F1 0.6 opposite", "F1", [1.3, 2.4], [0.9], [1.1], (0.6, -0.6), 1e-13),
+    ("F1 0.6 complex", "F1", [0.8, 1.6], [0.3], [1.7],
+     (0.6j, cmath.rect(0.6, 2.5)), 1e-13),
+    ("F1 0.75 same sign", "F1", [0.7, 1.9], [0.4], [2.2], (0.75, 0.6), 1e-13),
+    ("F1 0.75 negative", "F1", [0.7, 1.9], [0.4], [2.2], (-0.75, -0.375), 1e-13),
+    ("F1 0.75 opposite", "F1", [0.7, 1.9], [0.4], [2.2], (0.75, -0.6), 1e-13),
+    ("F1 0.75 complex", "F1", [1.1, 2.3], [0.6], [0.9],
+     (cmath.rect(0.75, 2.0), cmath.rect(0.75, -0.7)), 1e-13),
+    # F1(1; b1, b2; u+1; x/(x-1), y/(y-1)), the Pfaff image of the
+    # integral of (1+x^3/4)^(-1/2) (1+3x^3)^(-5/2) on [0, 1], u = 1/3
+    ("F1 Pfaff image", "F1", [1.0, 4 / 3], [0.5], [2.5], (0.2, 0.75), 1e-13),
+    ("F2 0.3 0.3", "F2", [1.5], [0.5, 1.2], [0.7, 1.3], (0.3, 0.3), 1e-13),
+    ("F2 opposite", "F2", [0.8], [1.1, 1.7], [0.6, 2.1], (0.35, -0.25), 1e-13),
+    ("F2 negative", "F2", [2.5], [1.5, 3.0], [0.5, 1.5], (-0.1, -0.45), 1e-13),
+    ("F2 complex", "F2", [1.2], [0.4, 1.5], [0.9, 0.8],
+     (cmath.rect(0.3, 1.0), cmath.rect(0.3, -2.0)), 1e-13),
+]
+
 
 def pair(x):
     x = mp.mpc(x)
@@ -430,12 +461,40 @@ def build_ring():
     return ring
 
 
+def appell_ref(kind, outer, inner_x, inner_y, args):
+    x, y = (mp.mpc(v) for v in args)
+    if kind == "F1":
+        (a, c), (b1,), (b2,) = outer, inner_x, inner_y
+        return at_two_precisions(lambda: [mp.appellf1(a, b1, b2, c, x, y)])
+    (a,), (b1, c1), (b2, c2) = outer, inner_x, inner_y
+    return at_two_precisions(lambda: [mp.appellf2(a, b1, b2, c1, c2, x, y)])
+
+
+def build_appell():
+    rows = []
+    for label, kind, outer, inner_x, inner_y, args, tol in APPELL:
+        start = time.time()
+        rows.append({
+            "label": label,
+            "kind": kind,
+            "outer": [pair(p) for p in outer],
+            "inner_x": [pair(p) for p in inner_x],
+            "inner_y": [pair(p) for p in inner_y],
+            "args": [pair(v) for v in args],
+            "value": appell_ref(kind, outer, inner_x, inner_y, args),
+            "tol": tol,
+        })
+        print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    return rows
+
+
 SECTIONS = {
     "at_one": build_at_one,
     "reciprocal_gamma": build_reciprocal_gamma,
     "near_one": build_near_one,
     "circle": build_circle,
     "ring": build_ring,
+    "appell": build_appell,
 }
 
 

@@ -5,7 +5,8 @@ The error of a jet is max_k |got_k - ref_k| / max(1, max_k |ref_k|).
 A row passes only with a value within its tolerance: a silent miss
 fails, and so does a typed SeriesError.  The circle and ring rows
 marked `raises` are beyond the engine's reach; they pass only with a
-typed SeriesError.
+typed SeriesError.  The appell rows, single values of Appell's F1 and
+F2, are checked relative to the reference.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 from hypint import hypseries
 from hypint.hypseries import PFQSpec, SeriesError, eval_at_one, eval_series
 from hypint.jets import eps
+from hypint.multivar import DoubleSeriesSpec, eval_double
 from hypint.numkernel import _gamma_jet_product, reciprocal_gamma_jet
 
 GOLDEN = json.loads(
@@ -221,3 +223,16 @@ def test_cancelled_ring_sum_goes_on_by_wynn(monkeypatch):
     monkeypatch.setattr(hypseries, "_wynn_epsilon", counting)
     _check_row(_ring_row("raises cancelled"))
     assert calls
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["appell"], ids=[r["label"] for r in GOLDEN["appell"]]
+)
+def test_appell_golden(row):
+    params = [
+        tuple(complex(*p) for p in row[k]) for k in ("outer", "inner_x", "inner_y")
+    ]
+    args = tuple(complex(*v) for v in row["args"])
+    want = complex(*row["value"][0])
+    got = eval_double(DoubleSeriesSpec(row["kind"], *params, args))
+    assert abs(got - want) <= row["tol"] * abs(want)

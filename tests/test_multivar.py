@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypint import multivar
 from hypint.hypseries import PFQSpec, eval_series
 from hypint.multivar import (
     DoubleSeriesSpec,
@@ -124,6 +125,42 @@ def test_f1_argument_symmetry(a, c, b1, b2, x, y):
     one = eval_double(DoubleSeriesSpec("F1", (a, c), (b1,), (b2,), (x, y)))
     two = eval_double(DoubleSeriesSpec("F1", (a, c), (b2,), (b1,), (y, x)))
     assert abs(one - two) < 1e-12 * max(1.0, abs(one))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.3, 2.0),
+    c=st.floats(0.8, 3.0),
+    b1=st.floats(0.2, 1.5),
+    b2=st.floats(0.2, 1.5),
+    x=st.floats(-0.75, 0.75),
+    y=st.floats(-0.75, 0.75),
+)
+def test_f1_argument_symmetry_to_modulus_three_quarters(a, c, b1, b2, x, y):
+    """The swap of (x, b1) with (y, b2) out to |x|, |y| = 0.75."""
+    one = eval_double(DoubleSeriesSpec("F1", (a, c), (b1,), (b2,), (x, y)))
+    two = eval_double(DoubleSeriesSpec("F1", (a, c), (b2,), (b1,), (y, x)))
+    assert abs(one - two) < 1e-13 * max(1.0, abs(one))
+
+
+def test_double_series_reads_diagonals_not_squares(monkeypatch):
+    # summed by diagonals n = j+k, a series needs its weights only up to
+    # the block in which it stops: at 33 diagonals for I(1/2), and at 96
+    # for F1 at (0.75, -0.6), where squares of sides 128 and 512 asked for
+    # the outer weight up to twice the side
+    reads = []
+    upto = multivar._Weights.upto
+
+    def counted(self, n):
+        reads.append(n)
+        return upto(self, n)
+
+    monkeypatch.setattr(multivar._Weights, "upto", counted)
+    ialpha_value(0.5)
+    assert 0 < max(reads) <= 64
+    del reads[:]
+    eval_double(DoubleSeriesSpec("F1", (0.7, 1.9), (0.4,), (2.2,), (0.75, -0.6)))
+    assert 64 < max(reads) <= 256
 
 
 # ---------------------------------------------------------------------------

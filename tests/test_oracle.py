@@ -219,6 +219,29 @@ def test_evaluations_count_every_integrand_call(f, tanh_sinh, monkeypatch):
     assert q.evaluations == len(calls)
 
 
+@pytest.mark.parametrize(
+    "f, probes",
+    [
+        (lambda x: (1.0 + x * x) ** -1.5, 2),
+        (lambda x: (1.0 + x) ** -1.05, 2),
+        # slope -1.00002 on the first probe pair, decay only on the second
+        (lambda x: 1.0 / ((1.0 + x) * (1.0 + (x / 1e8) ** 2)), 4),
+    ],
+    ids=["x^-3", "x^-1.05", "x^-3 past 1e8"],
+)
+def test_halfline_evaluations_count_every_integrand_call(f, probes):
+    # the decay probe's calls, then both pieces' quadrature nodes
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    q = quad_halfline(counted)
+    assert calls[:probes] == [1e4, 1e6, 1e6, 1e8][:probes]
+    assert q.evaluations == len(calls)
+
+
 def test_arctan_tail_truth_is_right():
     # independent route for the panel literal: int u cos^2 u over
     # [0, pi/2] by parts is pi^2/16 - 1/4
