@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from hypint import cli, integrate
-from hypint.cli import (
+from hypint import expr as expr_mod
+from hypint.expr import (
     Add,
     Call,
     Dec,
@@ -102,7 +103,7 @@ def test_trailing_input_rejected():
 def test_bare_slash_after_power_is_division():
     # fraction exponents need parentheses: x^1/2 is (x^1)/2
     e = parse("x^1/2")
-    assert isinstance(e, cli.Div)
+    assert isinstance(e, expr_mod.Div)
     assert render(e) == "x^1/2"
 
 
@@ -156,13 +157,13 @@ _exponent = st_.one_of(
 
 def _neg(e):
     # the parser folds negated literals, so canonical trees never hold them
-    folded = cli._negate_literal(e)
+    folded = expr_mod._negate_literal(e)
     return folded if folded is not None else Neg(e)
 
 
 def _div(u, v):
     # rational/rational likewise folds to a single literal at parse time
-    return cli._Parser._fold_div(u, v)
+    return expr_mod._Parser._fold_div(u, v)
 
 
 def _compound(children):
@@ -173,7 +174,7 @@ def _compound(children):
         st_.tuples(children, children).map(lambda t: _div(*t)),
         children.map(_neg),
         st_.tuples(children, _exponent).map(lambda t: Pow(*t)),
-        st_.tuples(st_.sampled_from(cli._FUNCTIONS), children).map(
+        st_.tuples(st_.sampled_from(expr_mod._FUNCTIONS), children).map(
             lambda t: Call(*t)
         ),
         st_.tuples(
@@ -434,14 +435,14 @@ def test_oracle_matches_closed_form(expr, to, want, rel, capsys):
 
 
 def test_oracle_is_independent_of_integrand_folding(monkeypatch, capsys):
-    fold = cli._compile_integrand
+    fold = expr_mod.integrand
 
     def doubled(e, order):
         st = fold(e, order)
         st.coeff *= 2.0
         return st
 
-    monkeypatch.setattr(cli, "_compile_integrand", doubled)
+    monkeypatch.setattr(cli, "integrand", doubled)
     payload = _oracle_payload("1/(1+x^3)", "inf", capsys)
     assert payload["discrepancy"] > 0.1
 
@@ -465,14 +466,14 @@ def _count_calls(monkeypatch, modules, name):
      ("x*sqrt(1-(1/2)*x^3)", "1"), ("1/(1+x^3)", "inf")],
 )
 def test_elementary_oracle_runs_no_series(expr, to, monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, (cli, integrate), "eval_series")
+    calls = _count_calls(monkeypatch, (expr_mod, integrate), "eval_series")
     _oracle_payload(expr, to, capsys)
     # at most the boundary value F(1); no quadrature node sums a series
     assert len(calls) <= 1
 
 
 def test_series_node_runs_the_engine_per_node(monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, (cli, integrate), "eval_series")
+    calls = _count_calls(monkeypatch, (expr_mod, integrate), "eval_series")
     _oracle_payload("x*2F1(1/2,1/2;3/2;x^2)", "1", capsys)
     assert len(calls) > 20
 
@@ -483,8 +484,8 @@ def test_oracle_power_past_the_double_range(capsys):
     want = math.sqrt(math.pi) / 2 * math.exp(math.lgamma(199.5) - math.lgamma(200))
     assert payload["oracle"] == pytest.approx(want, rel=1e-12)
     assert payload["discrepancy"] <= 1e-13
-    assert cli._real_closure(cli.parse("(-1-x)^301"))(1e4) == -math.inf
-    assert cli._real_closure(cli.parse("(-1-x)^300"))(1e4) == math.inf
+    assert expr_mod._real_closure(expr_mod.parse("(-1-x)^301"))(1e4) == -math.inf
+    assert expr_mod._real_closure(expr_mod.parse("(-1-x)^300"))(1e4) == math.inf
 
 
 def test_halfline_integral_is_computed_once(monkeypatch, capsys):
