@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet
+from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet, jet_exp
 from .numkernel import _is_nonpositive_integer, gamma_product, pochhammer
 
 __all__ = [
@@ -989,6 +989,17 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
             half = cmath.exp(z / 2.0)
             return _jet(tuple([c * half * half for c in inner.coeffs]))
         return _direct_sum(spec, z, tol, TERM_CAP)
+    if spec.p == 1 and spec.q == 0:
+        # 1F0(a;;z) = (1-z)^(-a) on the plane cut along [1, oo)
+        if z.imag == 0.0 and z.real >= 1.0:
+            raise DivergentError(
+                "%s at %r: (1-z)^(-a) has its pole or branch point at 1 and "
+                "is cut along (1, oo)" % (spec.describe(), z)
+            )
+        # the value by libm's pow, which exp(-a log(1-z)) would round
+        # |a log(1-z)| times; the jet part is exp of a nilpotent
+        a, w = spec.upper[0], 1.0 - z
+        return w ** -a.value * jet_exp((a.value - a) * cmath.log(w))
     # unit disk
     az = abs(z)
     if spec.p == 2 and z.imag == 0.0 and z.real <= -0.9:
@@ -1099,23 +1110,18 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
         raise LimitConditionError(
             "width", "needs p >= q-1, got p=%d q=%d" % (spec.p, spec.q)
         )
+    # The rightmost pole of the Barnes integral (DLMF 16.5.1), at -alpha, is
+    # simple when alpha has the strictly smallest real part, whatever the
+    # other differences; its residue is the Gamma product below.  Upper
+    # parameters that differ by an integer add only log terms of lower order.
     bases = [a.value for a in ups]
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            d = bases[i] - bases[j]
-            if abs(d.imag) < 1e-12 and abs(d.real - round(d.real)) < 1e-12:
-                raise LimitConditionError(
-                    "congruence",
-                    "upper parameters %r and %r differ by an integer"
-                    % (bases[i], bases[j]),
-                )
     min_re = min(b.real for b in bases)
     candidates = [i for i, b in enumerate(bases) if b.real - min_re <= 1e-12]
     if len(candidates) > 1:
         raise LimitConditionError(
             "tie",
-            "minimal real part shared by parameters with different "
-            "imaginary parts",
+            "minimal real part shared by more than one upper parameter "
+            "(a double pole where they are equal)",
         )
     im = candidates[0]
     if spec.p == spec.q - 1:

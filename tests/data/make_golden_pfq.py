@@ -36,6 +36,12 @@ Sections:
   F2 at |x| + |y| up to 0.6.  Parameters are in DoubleSeriesSpec order:
   F1 outer (a, c), inner_x (b1,), inner_y (b2,); F2 outer (a,),
   inner_x (b1, c1), inner_y (b2, c2).
+- limits: the leading coefficient C of (-z)^alpha pFq(z) -> C as
+  z -> -oo, alpha the smallest upper parameter, for
+  hypseries.limit_at_minus_infinity: (-z)^alpha times mpmath's hyper at
+  z = -1e30, computed at 30 and 45 digits.  The first rows have upper
+  parameters an integer apart; in every row the next power of -z lies
+  at least 0.6 below alpha, so the value at -1e30 is the limit to 1e-18.
 
 Each reference is computed twice, at 20 and 30 digits, or for Cauchy's
 formula at 30 digits on two circles (r, N) = (0.15, 24) and (0.2, 28).
@@ -272,6 +278,19 @@ APPELL = [
      (cmath.rect(0.3, 1.0), cmath.rect(0.3, -2.0)), 1e-13),
 ]
 
+# (label, upper, lower, tol relative); the smallest upper parameter first
+LIMITS = [
+    ("2F1 congruent", [0.5, 1.5], [2.5], 1e-13),
+    ("3F2 congruent 2", [0.3, 2.3, 1.7], [1.1, 2.9], 1e-13),
+    ("3F2 congruent 1, 3", [0.3, 1.3, 3.3], [0.8, 2.2], 1e-13),
+    ("4F3 congruent", [0.5, 1.5, 2.5, 3.1], [1.2, 1.7, 4.4], 1e-13),
+    ("2F1 cubic binomial", [1 / 3, 1.0], [4 / 3], 1e-13),
+    ("3F2 spread", [0.2, 0.9, 1.75], [1.3, 2.4], 1e-13),
+    ("4F3 spread", [0.15, 0.85, 1.6, 2.45], [1.1, 1.9, 3.2], 1e-13),
+    ("2F1 complex", [0.4 + 0.3j, 1.2], [2.1], 1e-13),
+]
+LIMIT_Z = -1e30
+
 
 def pair(x):
     x = mp.mpc(x)
@@ -310,12 +329,12 @@ def checked(make_lo, make_hi):
     return [pair(c) for c in hi]
 
 
-def at_two_precisions(make):
+def at_two_precisions(make, digits=(20, 30)):
     def at(dps):
         with mp.workdps(dps):
             return [mp.mpc(c) for c in make()]
 
-    return checked(lambda: at(20), lambda: at(30))
+    return checked(lambda: at(digits[0]), lambda: at(digits[1]))
 
 
 def hyper(upper, lower, z):
@@ -488,6 +507,27 @@ def build_appell():
     return rows
 
 
+def build_limits():
+    rows = []
+    for label, upper, lower, tol in LIMITS:
+        start = time.time()
+
+        def make(upper=upper, lower=lower):
+            ups = [mp.mpmathify(u) for u in upper]
+            z = mp.mpf(LIMIT_Z)
+            return [(-z) ** ups[0] * mp.hyper(ups, [mp.mpmathify(c) for c in lower], z)]
+
+        rows.append({
+            "label": label,
+            "upper": [pair(u) for u in upper],
+            "lower": [pair(c) for c in lower],
+            "value": at_two_precisions(make, (30, 45)),
+            "tol": tol,
+        })
+        print("%-22s %6.1f s" % (label, time.time() - start), flush=True)
+    return rows
+
+
 SECTIONS = {
     "at_one": build_at_one,
     "reciprocal_gamma": build_reciprocal_gamma,
@@ -495,6 +535,7 @@ SECTIONS = {
     "circle": build_circle,
     "ring": build_ring,
     "appell": build_appell,
+    "limits": build_limits,
 }
 
 

@@ -636,6 +636,28 @@ def test_exit_1_on_nonintegrable_power(capsys):
     assert "alpha" in err
 
 
+def test_exit_1_on_tied_halfline_parameters(capsys):
+    # 2F1(1, 1; 2; -x): a double pole at -1, so the integral diverges
+    code, _, err = run_cli(["integrate", "1/(1+x)", "--to", "inf"], capsys)
+    assert code == 1
+    assert "tie:" in err
+
+
+@pytest.mark.parametrize(
+    "text, to, want",
+    [
+        # the augmented 2F1 cancels to 1F0(1;;-2x) = 1/(1+2x)
+        ("1/(1+2*x)^2", "1", "value = 0.33333333333333331\n"),
+        # uppers 1 and 3 of the augmented 2F1 differ by an integer
+        ("x/(1+x^2)^3", "inf", "value = 0.25000000000000006\n"),
+    ],
+)
+def test_binomial_family_at_both_ends(text, to, want, capsys):
+    code, out, _ = run_cli(["integrate", text, "--to", to], capsys)
+    assert code == 0
+    assert out.startswith(want)
+
+
 def test_exit_1_on_jet_body_with_oracle(capsys):
     code, _, err = run_cli(
         ["integrate", "ln(1+x)", "--to", "1", "--oracle"], capsys

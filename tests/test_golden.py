@@ -6,7 +6,8 @@ A row passes only with a value within its tolerance: a silent miss
 fails, and so does a typed SeriesError.  The circle and ring rows
 marked `raises` are beyond the engine's reach; they pass only with a
 typed SeriesError.  The appell rows, single values of Appell's F1 and
-F2, are checked relative to the reference.
+F2, and the limits rows, leading coefficients at -oo, are checked
+relative to the reference.
 """
 
 import json
@@ -15,7 +16,13 @@ from pathlib import Path
 import pytest
 
 from hypint import hypseries
-from hypint.hypseries import PFQSpec, SeriesError, eval_at_one, eval_series
+from hypint.hypseries import (
+    PFQSpec,
+    SeriesError,
+    eval_at_one,
+    eval_series,
+    limit_at_minus_infinity,
+)
 from hypint.jets import eps
 from hypint.multivar import DoubleSeriesSpec, eval_double
 from hypint.numkernel import _gamma_jet_product, reciprocal_gamma_jet
@@ -236,3 +243,17 @@ def test_appell_golden(row):
     want = complex(*row["value"][0])
     got = eval_double(DoubleSeriesSpec(row["kind"], *params, args))
     assert abs(got - want) <= row["tol"] * abs(want)
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["limits"], ids=[r["label"] for r in GOLDEN["limits"]]
+)
+def test_limit_golden(row):
+    # (-z)^alpha pFq(z) -> C along the negative axis, alpha the smallest
+    # upper parameter, also where other uppers lie an integer above it
+    ups, lows = (tuple(complex(*v) for v in row[k]) for k in ("upper", "lower"))
+    spec = PFQSpec(ups, lows, order=0)
+    term = limit_at_minus_infinity(spec)
+    assert term.exponent.value == spec.upper[0].value
+    want = complex(*row["value"][0])
+    assert abs(term.coefficient.value - want) <= row["tol"] * abs(want)

@@ -616,6 +616,34 @@ def test_exp_past_the_double_range_is_a_term_overflow():
         eval_series(PFQSpec((), (), order=2), 709.9 + 3.0j)
 
 
+@pytest.mark.parametrize(
+    "z", [0.5, -3.0, -1e6, 0.99, 2.0 + 1.0j, -0.2 + 0.9j, 3.0 - 0.5j, 1e-3j]
+)
+def test_binomial_is_closed_form_on_the_cut_plane(z):
+    # 1F0(a;;z) = (1-z)^(-a), inside the unit disk and beyond it
+    got = eval_series(PFQSpec((0.7,), (), order=0), z).value
+    want = complex(1.0 - z) ** -0.7
+    assert abs(got - want) <= 4e-16 * abs(want)
+
+
+@pytest.mark.parametrize("z", [0.5, -3.0, 2.0 + 1.0j, -0.2 + 0.9j])
+def test_binomial_jet_in_its_parameter(z):
+    # d/da (1-z)^(-a) = -log(1-z) (1-z)^(-a)
+    got = eval_series(PFQSpec((0.7 + eps(2),), (), order=2), z)
+    want = complex(1.0 - z) ** -0.7
+    slope = -cmath.log(1.0 - z) * want
+    assert abs(got.coeffs[0] - want) <= 4e-16 * abs(want)
+    assert abs(got.coeffs[1] - slope) <= 1e-15 * abs(slope)
+    assert abs(got.coeffs[2] - slope * -cmath.log(1.0 - z) / 2) <= 1e-15 * abs(slope)
+
+
+def test_binomial_at_its_pole_and_on_its_cut_diverges():
+    with pytest.raises(DivergentError, match="pole"):
+        eval_series(PFQSpec((0.7,), (), order=0), 1.0)
+    with pytest.raises(DivergentError, match=r"cut along \(1, oo\)"):
+        eval_series(PFQSpec((0.7,), (), order=0), 2.5)
+
+
 @pytest.mark.parametrize("order", [0, 1])
 def test_overflowing_terms_raise_at_once(order):
     a = 2.5 + eps(1) if order else 2.5
@@ -885,9 +913,15 @@ def test_limit_rejects_too_few_upper():
 
 
 def test_limit_rejects_congruent_parameters():
+    # uppers an integer apart leave the pole at -alpha simple:
+    # Gamma(2.5)Gamma(1)/(Gamma(1.5)Gamma(2)) = 1.5
+    term = limit_at_minus_infinity(PFQSpec((0.5, 1.5), (2.5,)))
+    assert term.exponent.value == 0.5
+    assert term.coefficient.value == pytest.approx(1.5, rel=1e-14)
+    # only the exact tie, a double pole, is rejected
     with pytest.raises(LimitConditionError) as err:
-        limit_at_minus_infinity(PFQSpec((0.5, 1.5), (2.5,)))
-    assert err.value.clause == "congruence"
+        limit_at_minus_infinity(PFQSpec((0.5, 0.5), (1.5,)))
+    assert err.value.clause == "tie"
 
 
 def test_limit_rejects_two_terminating_uppers():

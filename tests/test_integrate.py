@@ -413,10 +413,16 @@ def test_halfline_divergence_when_added_parameter_not_smallest():
 
 
 def test_halfline_propagates_limit_clauses():
+    # the body decays like x^(-1/4), so x^(-1/2) times it is not integrable
     congruent = PFQSpec((0.25, 1.25), (1.5,), scale=-1, power=1, order=0)
-    with pytest.raises(LimitConditionError) as exc:
+    with pytest.raises(DivergentError, match="smallest upper"):
         definite_0_to_inf(IntegrandSpec(Fraction(-1, 2), congruent))
-    assert exc.value.clause == "congruence"
+
+    # 1/(1+x): the added parameter 1 ties the body's, a double pole
+    tied = PFQSpec((1.0,), (), scale=-1, power=1, order=0)
+    with pytest.raises(LimitConditionError) as exc:
+        definite_0_to_inf(IntegrandSpec(Fraction(0), tied))
+    assert exc.value.clause == "tie"
 
     wide = PFQSpec((0.5,), (0.7, 0.9, 1.1), scale=-1, power=1, order=0)
     with pytest.raises(LimitConditionError) as exc:
