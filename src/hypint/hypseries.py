@@ -990,16 +990,26 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
             return _jet(tuple([c * half * half for c in inner.coeffs]))
         return _direct_sum(spec, z, tol, TERM_CAP)
     if spec.p == 1 and spec.q == 0:
-        # 1F0(a;;z) = (1-z)^(-a) on the plane cut along [1, oo)
-        if z.imag == 0.0 and z.real >= 1.0:
+        # 1F0(a;;z) = (1-z)^(-a): the value 0 at z = 1 for Re a < 0, and
+        # cut along (1, oo) unless a is an integer
+        a, w = spec.upper[0], 1.0 - z
+        if z == 1.0 and a.value.real < 0.0:
+            return eval_at_one(spec, tol)
+        whole = a.is_scalar and a.value.imag == 0.0 and a.value.real.is_integer()
+        if z.imag == 0.0 and z.real >= 1.0 and (z == 1.0 or not whole):
             raise DivergentError(
                 "%s at %r: (1-z)^(-a) has its pole or branch point at 1 and "
-                "is cut along (1, oo)" % (spec.describe(), z)
+                "is cut along (1, oo) for non-integer a" % (spec.describe(), z)
             )
         # the value by libm's pow, which exp(-a log(1-z)) would round
         # |a log(1-z)| times; the jet part is exp of a nilpotent
-        a, w = spec.upper[0], 1.0 - z
-        return w ** -a.value * jet_exp((a.value - a) * cmath.log(w))
+        try:
+            jet = w ** -a.value * jet_exp((a.value - a) * cmath.log(w))
+            if all(map(cmath.isfinite, jet.coeffs)):
+                return jet
+        except OverflowError:
+            pass
+        raise TermOverflowError(0, "1F0 at %r leaves the double range" % z)
     # unit disk
     az = abs(z)
     if spec.p == 2 and z.imag == 0.0 and z.real <= -0.9:

@@ -647,15 +647,17 @@ def test_exit_1_on_tied_halfline_parameters(capsys):
     "text, to, want",
     [
         # the augmented 2F1 cancels to 1F0(1;;-2x) = 1/(1+2x)
-        ("1/(1+2*x)^2", "1", "value = 0.33333333333333331\n"),
+        ("1/(1+2*x)^2", "1", 1.0 / 3.0),
         # uppers 1 and 3 of the augmented 2F1 differ by an integer
-        ("x/(1+x^2)^3", "inf", "value = 0.25000000000000006\n"),
+        ("x/(1+x^2)^3", "inf", 0.25),
     ],
 )
 def test_binomial_family_at_both_ends(text, to, want, capsys):
     code, out, _ = run_cli(["integrate", text, "--to", to], capsys)
     assert code == 0
-    assert out.startswith(want)
+    head = out.splitlines()[0]
+    assert head.startswith("value = ")
+    assert abs(complex(head[len("value = "):]) - want) <= 4 * math.ulp(want)
 
 
 def test_exit_1_on_jet_body_with_oracle(capsys):

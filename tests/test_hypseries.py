@@ -617,24 +617,46 @@ def test_exp_past_the_double_range_is_a_term_overflow():
 
 
 @pytest.mark.parametrize(
+    "a, z, want",
+    [
+        (1.0, 0.5, 2.0),
+        (1.0, 2.0 + 1.0j, -0.5 + 0.5j),
+        (2.0, -3.0, 0.0625),
+        (0.5, -3.0, 0.5),
+        (1.5, -3.0, 0.125),
+        (-0.5, -3.0, 2.0),
+        # 1 - z = (3+4i)^2, whose principal square root is 3+4i
+        (-0.5, 8.0 - 24.0j, 3.0 + 4.0j),
+        (0.5, 8.0 - 24.0j, (3.0 - 4.0j) / 25.0),
+    ],
+)
+def test_binomial_is_exact_where_the_power_is(a, z, want):
+    # 1F0(a;;z) = (1-z)^(-a), inside the unit disk and beyond it
+    got = eval_series(PFQSpec((a,), (), order=0), z).value
+    assert abs(got - want) <= 4e-16 * abs(want)
+
+
+@pytest.mark.parametrize(
     "z", [0.5, -3.0, -1e6, 0.99, 2.0 + 1.0j, -0.2 + 0.9j, 3.0 - 0.5j, 1e-3j]
 )
 def test_binomial_is_closed_form_on_the_cut_plane(z):
-    # 1F0(a;;z) = (1-z)^(-a), inside the unit disk and beyond it
+    # the reference exp(-a log(1-z)) rounds |a log(1-z)| (below 10 here)
+    # times over
     got = eval_series(PFQSpec((0.7,), (), order=0), z).value
-    want = complex(1.0 - z) ** -0.7
-    assert abs(got - want) <= 4e-16 * abs(want)
+    want = cmath.exp(-0.7 * cmath.log(1.0 - z))
+    assert abs(got - want) <= 4e-15 * abs(want)
 
 
 @pytest.mark.parametrize("z", [0.5, -3.0, 2.0 + 1.0j, -0.2 + 0.9j])
 def test_binomial_jet_in_its_parameter(z):
     # d/da (1-z)^(-a) = -log(1-z) (1-z)^(-a)
     got = eval_series(PFQSpec((0.7 + eps(2),), (), order=2), z)
-    want = complex(1.0 - z) ** -0.7
-    slope = -cmath.log(1.0 - z) * want
-    assert abs(got.coeffs[0] - want) <= 4e-16 * abs(want)
-    assert abs(got.coeffs[1] - slope) <= 1e-15 * abs(slope)
-    assert abs(got.coeffs[2] - slope * -cmath.log(1.0 - z) / 2) <= 1e-15 * abs(slope)
+    lg = -cmath.log(1.0 - z)
+    want = cmath.exp(0.7 * lg)
+    slope = lg * want
+    assert abs(got.coeffs[0] - want) <= 4e-15 * abs(want)
+    assert abs(got.coeffs[1] - slope) <= 4e-15 * abs(slope)
+    assert abs(got.coeffs[2] - slope * lg / 2) <= 4e-15 * abs(slope)
 
 
 def test_binomial_at_its_pole_and_on_its_cut_diverges():
@@ -642,6 +664,27 @@ def test_binomial_at_its_pole_and_on_its_cut_diverges():
         eval_series(PFQSpec((0.7,), (), order=0), 1.0)
     with pytest.raises(DivergentError, match=r"cut along \(1, oo\)"):
         eval_series(PFQSpec((0.7,), (), order=0), 2.5)
+    # a jet in a moves off the integer, onto the cut
+    with pytest.raises(DivergentError, match=r"cut along \(1, oo\)"):
+        eval_series(PFQSpec((2.0 + eps(1),), ()), 2.5)
+
+
+def test_binomial_where_it_has_no_pole_or_cut():
+    # (1-z)^(1/2) is 0 at z = 1, and (1-z)^(-2) is single-valued past it
+    assert abs(eval_series(PFQSpec((-0.5,), (), order=0), 1.0).value) <= 1e-12
+    got = eval_series(PFQSpec((2.0,), (), order=0), 2.5).value
+    assert abs(got - 1.0 / 2.25) <= 4e-16 / 2.25
+
+
+def test_binomial_past_the_double_range_is_a_term_overflow():
+    # 1e10^300.5 is not a double
+    with pytest.raises(TermOverflowError):
+        eval_series(PFQSpec((-300.5,), (), order=0), -1e10)
+    # 1096.63^100.9 = 5.5e306 is, and so is its jet's log^2 / 2 multiple,
+    # 1.4e308, but its log^3 / 6 multiple is not
+    assert eval_series(PFQSpec((-100.9 + eps(2),), ()), -1095.63).coeffs[2]
+    with pytest.raises(TermOverflowError):
+        eval_series(PFQSpec((-100.9 + eps(3),), ()), -1095.63)
 
 
 @pytest.mark.parametrize("order", [0, 1])
@@ -681,8 +724,15 @@ def test_binomial_jet_matches_logarithm_powers(a0, w, order):
     # (1-w)^(-a0) (-log(1-w))^m / m!.  Base 0 makes the first ratio
     # factor purely nilpotent, base -3 + 1e-6 puts a factor 1e-6 from
     # zero at j = 3; w = 0.9 runs a few hundred terms over several
-    # blocks, and 0.97e^{0.7i} goes through Wynn.
-    jet = eval_series(PFQSpec((a0 + eps(order),), ()), w)
+    # blocks, and 0.97e^{0.7i} goes through Wynn.  eval_series takes
+    # 1F0 in closed form, so the series goes to the kernels it would
+    # reach by |w|.
+    spec = PFQSpec((a0 + eps(order),), ())
+    tol = hypseries.DEFAULT_TOL
+    if abs(w) < 0.95:
+        jet = _direct_sum(spec, w, tol * min(1.0, (1 - abs(w)) / abs(w)), TERM_CAP)
+    else:
+        jet = _accelerated_sum(spec, w, tol, hypseries.AT_ONE_CAP)
     lg = -cmath.log(1.0 - w)
     head = cmath.exp(-a0 * cmath.log(1.0 - w))
     for m in range(order + 1):
