@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .expr import (
@@ -49,13 +50,19 @@ __all__ = ["main"]
 
 
 def _fmt_coeff(c: complex) -> str:
-    """A constant factor: rational when real, i-suffixed when imaginary."""
+    """A constant factor: real or i-suffixed when imaginary, rational
+    where that reads back as the same double, else 17 digits."""
     if c.imag == 0.0:
-        return _fmt_gamma_arg(c)
+        return _fmt_real(c.real)
     if c.real == 0.0:
-        mag = _fmt_gamma_arg(complex(c.imag))
+        mag = _fmt_real(c.imag)
         return {"1": "i", "-1": "-i"}.get(mag, mag + "*i")
     return "(%s)" % _fmt_complex(c)
+
+
+def _fmt_real(v: float) -> str:
+    text = _fmt_gamma_arg(v)
+    return text if float(Fraction(text)) == v else "%.17g" % v
 
 
 def _pair(z: complex) -> dict:
@@ -157,7 +164,7 @@ def _cmd_integrate(args) -> int:
     jet_output = st.body.order > 0 and st.extract_k == 0
     closure = None
     if args.oracle:
-        if st.body.order > 0:
+        if order > 0:
             raise ComputationError(
                 "oracle quadrature does not run on jet-valued integrands"
             )

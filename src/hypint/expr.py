@@ -2,8 +2,8 @@
 
 The grammar: rational, decimal and imaginary literals, x, eps,
 nFm(uppers;lowers;argument) series, [eps^k] coefficient extraction,
-+ - * / ^, and sqrt, ln, arctan, arcsin, which are rewritten to series
-rather than calling libm; unknown names are parse errors with a column.
++ - * / ^, and sqrt, ln, arctan, arcsin, which are read as their 1F0 and
+2F1 forms, one per function; unknown names are parse errors with a column.
 `integrand` folds an expression into coeff * x^alpha * [eps^k] body for
 the `integrate` drivers.  The oracle's `_real_closure` alone compiles
 the typed expression over math, independent of the series rewrite.
@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from .hypseries import PFQSpec, eval_series
 from .integrate import DRIVER_TOL, _fmt_complex
-from .jets import Jet, eps, extract
+from .jets import Jet, as_jet, eps, extract
 
 __all__ = ["parse", "render", "integrand", "Integrand", "ParseError",
            "ComputationError", "UsageError"]
@@ -132,12 +132,10 @@ Expr = Union[
 _FUNCTIONS = ("sqrt", "ln", "arctan", "arcsin")
 
 # the odd series u * 2F1(a; 3/2; s u^2) of the functions, name -> (a, s),
-# read by both the evaluator and the recognizer; artanh serves ln, as
-# ln(u) = 2 artanh((u-1)/(u+1))
+# read by both the evaluator and the recognizer
 _ODD_SERIES = {
     "arctan": ((0.5, 1.0), -1.0),
     "arcsin": ((0.5, 0.5), 1.0),
-    "artanh": ((0.5, 1.0), 1.0),
 }
 
 
@@ -650,20 +648,20 @@ class _Evaluator:
                 self.trace.append("arcsin as odd 2F1 series")
                 return self._odd("arcsin", u)
             raise ComputationError("arcsin outside [-1, 1]")
-        if e.fn == "ln":
-            w = (u - 1.0) / (u + 1.0) if u != -1.0 else None
-            if w is None or abs(w) >= 1.0:
-                raise ComputationError("ln needs an argument with positive real part")
-            self.trace.append("ln as artanh series")
-            return 2.0 * self._odd("artanh", w)
+        if u.imag == 0.0 and (u.real < 0.0 or u.real == 0.0 and e.fn == "ln"):
+            raise ComputationError("%s is cut along (-oo, 0]: %g" % (e.fn, u.real))
+        # u = 4^k m with 1/2 <= |m| < 2, exactly: the form's 1 - (1 - m)
+        # then rounds to m within an ulp of |m|, where 1 - (1 - u) would
+        # lose the low bits of a small u
+        k = math.frexp(abs(u))[1] // 2
+        m = complex(math.ldexp(u.real, -2 * k), math.ldexp(u.imag, -2 * k))
         if e.fn == "sqrt":
-            if abs(1.0 - u) < 1.0:
-                self.trace.append("sqrt as binomial series")
-                return self._1f0(-0.5, 1.0 - u)
-            if u != 0 and abs(1.0 - 1.0 / u) < 1.0:
-                self.trace.append("sqrt as rescaled binomial series")
-                return u * self._1f0(-0.5, 1.0 - 1.0 / u)
-            raise ComputationError("sqrt argument out of series range")
+            self.trace.append("sqrt as 1F0(-1/2;;1-u)")
+            return math.ldexp(1.0, k) * self._1f0(as_jet(-0.5, 0), m).value
+        if e.fn == "ln":
+            self.trace.append("ln as -[eps] 1F0(eps;;1-u)")
+            ln_m, ln_4 = (-extract(1, self._1f0(eps(1), v)) for v in (m, 4.0))
+            return ln_m + k * ln_4
         raise ComputationError("unknown function %r" % e.fn)
 
     def _odd(self, fn: str, u: Value) -> complex:
@@ -672,14 +670,15 @@ class _Evaluator:
         spec = PFQSpec(upper, (1.5,), order=0)
         return u * _unwrap(eval_series(spec, sign * u * u, tol=self.tol))
 
-    def _1f0(self, a: float, z: complex) -> complex:
-        return _unwrap(eval_series(PFQSpec((a,), (), order=0), z, tol=self.tol))
+    def _1f0(self, a: Jet, u: complex) -> Jet:
+        """1F0(a;;1-u) = u^(-a), in closed form off u in (-oo, 0]."""
+        return eval_series(PFQSpec((a,), ()), 1.0 - u, tol=self.tol)
 
 
 # ---------------------------------------------------------------------------
 # the oracle's integrand: the typed expression as one real closure over math
 
-_LIBM = {"sqrt": math.sqrt, "arcsin": math.asin, "arctan": math.atan}
+_LIBM = {"sqrt": math.sqrt, "ln": math.log, "arcsin": math.asin, "arctan": math.atan}
 
 # a compiled node is a float constant or a float function of x
 Node = Union[float, Callable[[float], float]]
@@ -793,9 +792,6 @@ def _collect(e: Expr, st: Integrand, order: int) -> None:
         st.coeff = -st.coeff
         _collect(e.u, st, order)
         return
-    if isinstance(e, (Rat, Dec, Imag)):
-        st.coeff *= complex(_Evaluator(None, 0).eval(e))
-        return
     if isinstance(e, Var):
         st.alpha += 1
         return
@@ -806,25 +802,24 @@ def _collect(e: Expr, st: Integrand, order: int) -> None:
         _collect(e.u, st, order)
         _divide(e.v, st, order)
         return
-    if isinstance(e, PFq):
-        _attach_series(e, st, order)
-        return
     match = _binomial_power(e)
     if match is not None:
         _attach_binomial(match[0], -match[1], st)
+        return
+    if _tree_order(e) == 0:
+        # a factor free of x and eps is a constant, folded as `hypint eval` does
+        try:
+            st.coeff *= complex(_Evaluator(None, 0).eval(e))
+            return
+        except UsageError:  # the factor holds x
+            pass
+    if isinstance(e, PFq):
+        _attach_series(e, st, order)
         return
     if isinstance(e, Call):
         _attach_call(e, st, order)
         return
     if isinstance(e, (Add, Sub)):
-        if _tree_order(e) == 0:
-            # a sum free of x and eps is a constant factor, folded the way
-            # `hypint eval` folds it
-            try:
-                st.coeff *= complex(_Evaluator(None, 0).eval(e))
-                return
-            except UsageError:  # the sum depends on x
-                pass
         raise ComputationError(
             "sums of terms cannot be integrated as one series; "
             "integrate the terms separately"
@@ -944,28 +939,23 @@ def _attach_call(e: Call, st: Integrand, order: int) -> None:
         # sqrt(1 + c x^p) itself is matched by _binomial_power
         raise ComputationError("sqrt supports 1 + c x^p arguments")
     if e.fn == "ln":
-        inner = e.arg
-        flip = 1.0
-        if isinstance(inner, Div):
-            num = _try_monomial(inner.u)
-            if num is None or num != (1.0 + 0.0j, Fraction(0)):
+        arg, sign = e.arg, 1
+        if isinstance(arg, Div):
+            if _try_monomial(arg.u) != (1.0 + 0.0j, Fraction(0)):
                 raise ComputationError("ln supports 1/(1 + c x^p) and 1 + c x^p")
-            inner = inner.v
-            flip = -1.0
-        binom = _binomial_of(inner)
-        if binom is None:
+            arg, sign = arg.v, -1
+        match = _binomial_power(arg)
+        if match is None:
             raise ComputationError("ln supports 1/(1 + c x^p) and 1 + c x^p")
-        c, d, p = binom
+        (c, d, p), r = match
         if c != 1.0:
             raise ComputationError("ln body must start at 1, got %s" % c)
-        # ln(1/(1-w)) = [eps] 1F0(eps;; w), here w = -(d/c) x^p
-        e1 = eps(1)
-        body = PFQSpec((e1,), (), scale=-d, power=p, order=1)
         if st.extract_k:
             raise ComputationError("ln cannot combine with an explicit [eps^k]")
+        # ln(B^r) = r ln(B) = -r [eps] 1F0(eps;; -d x^p) for B = 1 + d x^p
         st.extract_k = 1
-        st.coeff *= -flip
-        _merge_body(st, body)
+        st.coeff *= -sign * float(r)
+        _merge_body(st, PFQSpec((eps(1),), (), scale=-d, power=p, order=1))
         return
     raise ComputationError("unknown function %r" % e.fn)
 

@@ -1067,9 +1067,9 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
 def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
     """Value at argument 1 for p = q+1 with positive parameter excess.
 
-    2F1 goes through the Gauss closed form in jets; everything wider is
-    summed directly and extrapolated by known-exponent Richardson on the
-    excess sigma, sigma+1, ... (`_extrapolate_at_one`).
+    1F0 is 0 there with every a-derivative, 2F1 Gauss's closed form in
+    jets; wider series are summed directly and extrapolated by Richardson
+    on the known exponents sigma, sigma+1, ... (`_extrapolate_at_one`).
     """
     if spec.p != spec.q + 1:
         raise SeriesError("argument 1 handling is for p = q+1 series")
@@ -1081,6 +1081,8 @@ def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
         )
     if spec.terminating_degree() is not None:
         return _sum_terminating(spec, 1.0 + 0j, tol)
+    if spec.p == 1:
+        return as_jet(0, spec.order)
     if spec.p == 2:
         a, b = spec.upper
         c = spec.lower[0]

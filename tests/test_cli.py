@@ -1,5 +1,6 @@
 """Parser round trips, command plumbing, and exit codes."""
 
+import cmath
 import json
 import math
 import re
@@ -294,6 +295,21 @@ def test_constant_sum_is_a_constant_factor(capsys):
     assert folded == plain
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # 2^(-3/2) is 1.1e-12 from the fraction 235416/665857
+        ("1/(2+x^2)^(3/2)", "0.35355339059327379 * 0.5^(-1/2)"),
+        ("0.7853981633974483/(1+x^2)", "0.78539816339744828 * Gamma(3/2)Gamma(1/2)"),
+        ("(3/7)/(1+x^2)", "3/7 * Gamma(3/2)Gamma(1/2)"),
+    ],
+)
+def test_closed_form_coefficient_reads_back(text, want, capsys):
+    code, out, _ = run_cli(["integrate", text, "--to", "inf", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["closed_form"] == want
+
+
 def test_integrate_monomial_unit_interval(capsys):
     code, out, _ = run_cli(["integrate", "x^2", "--to", "1", "--json"], capsys)
     assert code == 0
@@ -424,6 +440,8 @@ _BETA_HALF_QUARTER = math.gamma(0.5) * math.gamma(0.25) / math.gamma(0.75)
          1e-10),
         # the engine's integrand is weakest at the branch point x^2 = 1
         ("x*2F1(1/2,1/2;3/2;x^2)", "1", math.pi / 2 - 1, 1e-9),
+        ("ln(1+x)", "1", 2.0 * math.log(2.0) - 1.0, 1e-10),
+        ("x*ln(1/(1-x^2))", "1", 0.5, 1e-10),
     ],
 )
 def test_oracle_matches_closed_form(expr, to, want, rel, capsys):
@@ -662,7 +680,8 @@ def test_binomial_family_at_both_ends(text, to, want, capsys):
 
 def test_exit_1_on_jet_body_with_oracle(capsys):
     code, _, err = run_cli(
-        ["integrate", "ln(1+x)", "--to", "1", "--oracle"], capsys
+        ["integrate", "[eps] 2F1(1/2+eps,1;3/2;-x^2)", "--to", "1", "--oracle"],
+        capsys,
     )
     assert code == 1
     assert "jet" in err
@@ -702,6 +721,34 @@ def test_json_schema_is_uniform(argv, capsys):
     if payload["jet"] is not None:
         for item in payload["jet"]:
             assert set(item) == {"re", "im"}
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["eval", "sqrt(x)", "--at", "0.6i"], cmath.sqrt(0.6j)),
+        (["eval", "ln(-1+i)"], cmath.log(-1 + 1j)),
+        (["eval", "ln(0.3)"], math.log(0.3)),
+    ],
+)
+def test_eval_sqrt_and_ln_on_the_cut_plane(argv, want, capsys):
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert abs(complex(value["re"], value["im"]) - want) <= 4 * math.ulp(abs(want))
+
+
+def test_eval_sqrt_at_zero_is_exactly_zero(capsys):
+    code, out, _ = run_cli(["eval", "sqrt(x)", "--at", "0", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == {"re": 0.0, "im": 0.0}
+
+
+@pytest.mark.parametrize("fn, arg", [("sqrt", "-4"), ("ln", "0"), ("ln", "-2")])
+def test_eval_rejects_the_cut_by_name(fn, arg, capsys):
+    code, _, err = run_cli(["eval", "%s(%s)" % (fn, arg)], capsys)
+    assert code == 1
+    assert fn in err and "cut" in err
 
 
 def test_module_entry_point_runs(src_env):

@@ -1,11 +1,15 @@
 """The expression layer as a library, without the command line."""
 
+import cmath
 import math
 import subprocess
 import sys
 
+import pytest
+
 from hypint import expr
-from hypint.integrate import IntegrandSpec, definite_0_to_inf
+from hypint.integrate import IntegrandSpec, definite_0_to_1, definite_0_to_inf
+from hypint.jets import extract
 
 PROBE = (
     "import sys, hypint; "
@@ -51,3 +55,70 @@ def test_functions_share_one_series_table():
         got = expr._Evaluator(0.5, 0).run(expr.parse("%s(x)" % fn))
         want = {"arctan": math.atan, "arcsin": math.asin}[fn](0.5)
         assert abs(got - want) <= 1e-12
+
+
+def _eval(text):
+    return complex(expr._Evaluator(None, 0).run(expr.parse(text)))
+
+
+@pytest.mark.parametrize("u", ["0.3", "2", "3", "1e6", "1e-6", "0.6i", "-1+i",
+                               "-0.5-2i"])
+@pytest.mark.parametrize("fn, ref", [("sqrt", cmath.sqrt), ("ln", cmath.log)])
+def test_sqrt_and_ln_are_one_1f0_on_the_cut_plane(fn, ref, u):
+    # sqrt(u) = 1F0(-1/2;;1-u) and ln(u) = -[eps] 1F0(eps;;1-u)
+    want = ref(_eval(u))
+    got = _eval("%s(%s)" % (fn, u))
+    assert abs(got - want) <= 4 * math.ulp(abs(want))
+
+
+def test_sqrt_is_exact_where_the_root_is():
+    assert _eval("sqrt(4)") == 2 and _eval("sqrt(1/4)") == 0.5
+    assert _eval("sqrt(0)") == 0
+
+
+@pytest.mark.parametrize("text", ["sqrt(-4)", "sqrt(-1e-300)", "ln(0)", "ln(-2)"])
+def test_sqrt_and_ln_reject_their_cut(text):
+    with pytest.raises(expr.ComputationError, match=text[:text.index("(")]):
+        _eval(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # constant factors of every kind, folded as `hypint eval` folds them
+        ("sqrt(2)/(1+x^2)", math.pi * math.sqrt(2.0) / 2),
+        ("2^(1/2)/(1+x^2)", math.pi * math.sqrt(2.0) / 2),
+        ("arctan(1)/(1+x^2)", math.pi ** 2 / 8),
+        ("2F1(1,1;2;1/2)/(1+x^2)^2", math.log(2.0) * math.pi / 2),
+    ],
+)
+def test_constant_function_factors_on_the_half_line(text, want):
+    st = expr.integrand(expr.parse(text), 0)
+    res = definite_0_to_inf(IntegrandSpec(st.alpha, st.body), verify=False)
+    assert abs(st.coeff * res.value.value - want) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("ln(2)*x", math.log(2.0) / 2),
+        ("2F1(1,1;2;1/2)*x", math.log(2.0)),
+        # ln(B^r) = r ln(B), the body of ln(B) with coefficient -r
+        ("ln((1+x)^2)", 2 * (2 * math.log(2.0) - 1)),
+        ("ln(sqrt(1+x))", math.log(2.0) - 0.5),
+        ("ln(1/(1+x^2)^(1/2))", 1 - math.log(2.0) / 2 - math.pi / 4),
+    ],
+)
+def test_constant_factors_and_ln_powers_on_the_unit_interval(text, want):
+    e = expr.parse(text)
+    st = expr.integrand(e, expr._tree_order(e))
+    if st.body is None:
+        got = st.coeff / (float(st.alpha) + 1)
+    else:
+        res = definite_0_to_1(IntegrandSpec(st.alpha, st.body), verify=False)
+        got = st.coeff * extract(st.extract_k, res.value)
+    assert abs(got - want) <= 1e-10
+
+
+def test_the_oracle_compiles_every_function():
+    assert set(expr._FUNCTIONS) <= set(expr._LIBM)

@@ -676,6 +676,14 @@ def test_binomial_where_it_has_no_pole_or_cut():
     assert abs(got - 1.0 / 2.25) <= 4e-16 / 2.25
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_binomial_at_one_is_exactly_zero(order):
+    # (1-z)^(-a) and each of its a-derivatives vanish at z = 1 for Re a < 0
+    spec = PFQSpec((-0.5 + eps(order) if order else -0.5,), (), order=order)
+    for got in (eval_series(spec, 1.0), eval_at_one(spec)):
+        assert got.order == order and all(c == 0 for c in got.coeffs)
+
+
 def test_binomial_past_the_double_range_is_a_term_overflow():
     # 1e10^300.5 is not a double
     with pytest.raises(TermOverflowError):
