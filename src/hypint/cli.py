@@ -321,10 +321,23 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _bind_at(argv: Sequence[str]) -> list:
+    """Each `--at V` as `--at=V`: argparse reads a V that starts with '-'
+    and is not a plain negative number, such as -1+i, as an option.  A
+    trailing `--at` stays, for argparse to report."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--at":
+            out[-1] = "--at=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = _build_argparser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_bind_at(sys.argv[1:] if argv is None else argv))
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:

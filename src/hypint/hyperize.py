@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .hypseries import _ScalarSum, _block_partials, _overflow
+from .hypseries import _block_partials, _overflow
 from .jets import Jet, _jet, _magnitude, as_jet
 from .numkernel import _is_nonpositive_integer
 from .oracle import quad_finite
@@ -106,10 +106,8 @@ class CoeffStream:
             return first
         jet = isinstance(first, Jet)
         terms = _StreamTerms(self, z, first.order if jet else None)
-        acc = [_ScalarSum(c.real, 0.0, c.imag, 0.0)
-               for c in (first.coeffs if jet else (complex(first),))]
         for _, s, _, stopped in _block_partials(
-            terms, acc, 1, STREAM_CAP, tol, 4, 0,
+            terms, first.coeffs if jet else (first,), 1, STREAM_CAP, tol, 4, 0,
             lambda k: _overflow(self.label, z, k),
         ):
             if stopped:

@@ -273,30 +273,6 @@ def cancel_parameters(spec: PFQSpec) -> PFQSpec:
 # summation cores
 
 
-class _ScalarSum:
-    """Neumaier-compensated complex sum."""
-
-    __slots__ = ("re", "cre", "im", "cim")
-
-    def __init__(self, re=0.0, cre=0.0, im=0.0, cim=0.0):
-        self.re, self.cre, self.im, self.cim = re, cre, im, cim
-
-    def add(self, z: complex):
-        # the compensation step inlined for both parts: this runs once per
-        # term on every short series
-        x, s = z.real, self.re
-        t = s + x
-        self.cre += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        self.re = t
-        x, s = z.imag, self.im
-        t = s + x
-        self.cim += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        self.im = t
-
-    def value(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
 def _overflow(name: str, z: complex, k: int) -> TermOverflowError:
     return TermOverflowError(
         k, "term or partial sum %d of %s at %r left the double range" % (k, name, z)
@@ -431,9 +407,15 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return mag[:, 0] if mag.shape[1] == 1 else mag.max(axis=1)
 
 
-def _sums(acc: list, overflow, k: int) -> tuple:
-    s = tuple(a.value() for a in acc)
-    if not all(map(cmath.isfinite, s)):
+def _fsum(parts: list, real: bool, overflow, k: int) -> complex:
+    """math.fsum of `parts`, by real and imaginary part unless `real`; a
+    sum past the double range raises overflow(k)."""
+    try:
+        s = complex(math.fsum(parts)) if real else complex(
+            math.fsum([x.real for x in parts]), math.fsum([x.imag for x in parts]))
+    except OverflowError:
+        raise overflow(k) from None
+    if not cmath.isfinite(s):
         raise overflow(k)
     return s
 
@@ -453,7 +435,8 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     of |t_k| over those terms, |.| the largest coefficient modulus.
     With scalar parameters the first _FIRST_CHECKPOINT terms run
     through the per-term recurrence, so a short series never touches
-    numpy; a jet series starts from its first term alone.
+    numpy, and are summed once by math.fsum; a jet series starts from
+    its first term alone.
     _block_partials sums the rest from _Terms blocks.  With `tol`, the
     sum stops after two consecutive tiny terms past the first, tiny as
     _block_partials says.  Sums at |z| near or at 1 have no per-term
@@ -463,17 +446,16 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     def overflow(k: int) -> TermOverflowError:
         return _overflow(spec.describe(), z, k)
 
-    acc = [_ScalarSum() for _ in range(spec.order + 1)]
-    acc[0].re = 1.0  # the first term
-    small = False
-    t = 1.0 + 0j
-    n = 1
-    mag = 1.0
+    small = stopped = False
+    n, mag = 1, 1.0
     scalar = spec.all_scalar
     # real inputs keep the terms in float, at a fraction of the cost of
     # complex: with zero imaginary parts complex * and / give the same
     # real parts, so the sums, the stop index and the overflow index agree
     real = _is_real(spec, z)
+    t = 1.0 if real else 1.0 + 0j
+    # the stop test reads the plain running sum
+    head, total = [t], t
     if scalar:
         a = [p.value for p in spec.upper]
         c = [p.value for p in spec.lower]
@@ -481,11 +463,8 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
         if real:
             a = [v.real for v in a]
             c = [v.real for v in c]
-            w, isfinite, t = z.real, math.isfinite, 1.0
+            w, isfinite = z.real, math.isfinite
         n = min(_FIRST_CHECKPOINT, limit)
-        # the Neumaier state of acc[0], inlined: this runs once per term
-        # on every short series
-        re, cre, im, cim = 1.0, 0.0, 0.0, 0.0
         for k in range(1, n):
             j = k - 1
             num = w
@@ -502,31 +481,24 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                     raise overflow(k)
             at = abs(t)
             mag += at
-            x = t.real
-            u = re + x
-            cre += (re - u) + x if abs(re) >= abs(x) else (x - u) + re
-            re = u
-            if not real:
-                x = t.imag
-                u = im + x
-                cim += (im - u) + x if abs(im) >= abs(x) else (x - u) + im
-                im = u
+            head.append(t)
+            total += t
             if tol is not None:
-                if at <= tol * max(
-                    1.0, abs(re + cre) if real else abs(complex(re + cre, im + cim))
-                ):
+                if at <= tol * max(1.0, abs(total)):
+                    if not isfinite(total):
+                        # an overflowed sum, not a scale that makes t tiny
+                        raise overflow(k)
                     if small:
-                        acc[0] = _ScalarSum(re, cre, im, cim)
-                        yield k + 1, _sums(acc, overflow, k), mag, True
-                        return
+                        n, stopped = k + 1, True
+                        break
                     small = True
                 else:
                     small = False
-        acc[0] = _ScalarSum(re, cre, im, cim)
-    yield n, _sums(acc, overflow, n - 1), mag, False
-    if n < limit:
+    sums = (_fsum(head, real, overflow, n - 1),) + (0j,) * spec.order
+    yield n, sums, mag, stopped
+    if not stopped and n < limit:
         terms = _Terms(spec, z, t, real, scalar)
-        yield from _block_partials(terms, acc, n, limit, tol, 2, int(small),
+        yield from _block_partials(terms, sums, n, limit, tol, 2, int(small),
                                    overflow, mag)
 
 
@@ -539,20 +511,20 @@ def _tail_tiny(size, scale, k, bound):
     return size * r <= scale * (1.0 - r)
 
 
-def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
+def _block_partials(terms, first, n: int, limit: int, tol, run: int,
                     small: int, overflow, mag: Optional[float] = None,
                     bound=None):
     """Partial sums over the blocks of a term source, up to `limit` terms.
 
     `terms.block(k0, m)` gives terms k0+1 .. k0+m as the rows of an
     array with one column per jet coefficient; a float array promises
-    that every term so far was real.  `acc` holds the compensated sums
-    of the first n terms and `mag` the sum of their |t_k|, |.| the
-    largest coefficient modulus, or None to leave it untracked.  Blocks
-    end at 64 terms, then double in length up to _BLOCK_CAP, so every
-    power-of-two count from 64 on ends a block.  Each coefficient of each block is added exactly with
-    math.fsum, and the block sums are compensated across blocks.  Yields
-    (n, S_n, mag, stopped) after each block.
+    that every term so far was real.  `first` holds the sums of the
+    first n terms, a number per column, and `mag` the sum of their
+    |t_k|, |.| the largest coefficient modulus, or None to leave it
+    untracked.  Blocks end at 64 terms, then double in length up to
+    _BLOCK_CAP, so every power-of-two count from 64 on ends a block.
+    S_n is math.fsum of the first sum and each block's math.fsum.
+    Yields (n, S_n, mag, stopped) after each block.
 
     With `tol`, the sum stops after `run` consecutive tiny terms, the
     first `small` of them carried in, and yields stopped=True.  A term
@@ -564,6 +536,9 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
     for the rest of the sum.  A non-finite term or partial sum raises
     overflow(k), k its index.
     """
+    sums = tuple(map(complex, first))
+    # per column: the first sum, then each block's math.fsum
+    parts = [[s] for s in sums]
     carry = np.ones(small, bool)
     while n < limit:
         if n < _FIRST_CHECKPOINT:
@@ -587,7 +562,7 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
             norms = None if tol is None and mag is None else _row_norm(blk)
             stop = None
             if tol is not None:
-                now = np.array([s.value() for s in acc[: blk.shape[1]]])
+                now = np.array(sums[: blk.shape[1]])
                 part = (now.real if real else now) + np.cumsum(blk, axis=0)
                 size = _row_norm(part)
                 # a partial sum past the double range is an overflow, not
@@ -622,18 +597,19 @@ def _block_partials(terms, acc: list, n: int, limit: int, tol, run: int,
             raise overflow(n + bad)
         try:
             if real:
-                for col, s in zip(blk.T.tolist(), acc):
-                    s.add(complex(math.fsum(col)))
+                for col, p in zip(blk.T.tolist(), parts):
+                    p.append(math.fsum(col))
             else:
-                for col, s in zip(blk.T, acc):
-                    s.add(complex(math.fsum(col.real.tolist()),
-                                  math.fsum(col.imag.tolist())))
+                for col, p in zip(blk.T, parts):
+                    p.append(complex(math.fsum(col.real.tolist()),
+                                     math.fsum(col.imag.tolist())))
         except OverflowError:
             raise overflow(n + len(blk) - 1) from None
         n += len(blk)
         if mag is not None:
             mag += float(norms.sum())
-        yield n, _sums(acc, overflow, n - 1), mag, stop is not None
+        sums = tuple([_fsum(p, False, overflow, n - 1) for p in parts])
+        yield n, sums, mag, stop is not None
         if stop is not None:
             return
 
@@ -762,8 +738,8 @@ def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None):
 
     scalar = spec.all_scalar
     terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
-    acc = [_ScalarSum() for _ in range(1 if scalar else spec.order + 1)]
-    acc[0].re = 1.0  # the first term
+    # the first term, 1, and zeros for a jet's other coefficients
+    first = (1.0,) + (0.0,) * (0 if scalar else spec.order)
     # the last checkpoint within `cap` terms past the first: terms past
     # it could never reach another
     limit = _FIRST_CHECKPOINT
@@ -771,7 +747,7 @@ def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None):
         limit *= 2
     # sum|t_k| is read only by the floor of the stop with `bound`
     mag = None if bound is None else 1.0
-    for n, s, _, stopped in _block_partials(terms, acc, 1, limit, tol, 2, 0,
+    for n, s, _, stopped in _block_partials(terms, first, 1, limit, tol, 2, 0,
                                             overflow, mag, bound):
         if stopped or not n & (n - 1):
             yield (s[0] if scalar else _jet(s)), stopped
@@ -1122,6 +1098,8 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
         raise LimitConditionError(
             "width", "needs p >= q-1, got p=%d q=%d" % (spec.p, spec.q)
         )
+    if not ups:
+        raise LimitConditionError("algebraic", "no upper parameter, no algebraic part")
     # The rightmost pole of the Barnes integral (DLMF 16.5.1), at -alpha, is
     # simple when alpha has the strictly smallest real part, whatever the
     # other differences; its residue is the Gamma product below.  Upper
@@ -1137,12 +1115,14 @@ def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:
         )
     im = candidates[0]
     if spec.p == spec.q - 1:
-        sig = spec.sigma.value
-        if not bases[im].real < sig.real - 0.5:
+        # DLMF 16.11: kappa = 2, and the exponential part oscillates with
+        # amplitude |z|^nu, nu = (1/2 - Re(excess))/2
+        bound = (spec.sigma.value.real - 0.5) / 2.0
+        if not bases[im].real < bound:
             raise LimitConditionError(
                 "excess",
-                "p = q-1 needs min(a) < Re(excess) - 1/2, have %g vs %g"
-                % (bases[im].real, sig.real - 0.5),
+                "p = q-1 needs min(a) < (Re(excess) - 1/2)/2, have %g vs %g"
+                % (bases[im].real, bound),
             )
     alpha = ups[im]
     rest = tuple(a for i, a in enumerate(ups) if i != im)

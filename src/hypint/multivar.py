@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypseries import _ULP, PFQSpec, _ScalarSum, _block_partials, eval_series
+from .hypseries import _ULP, PFQSpec, _block_partials, eval_series
 from .jets import Jet, eps
 
 __all__ = [
@@ -180,7 +180,7 @@ def eval_double(spec: DoubleSeriesSpec) -> complex:
         )
     where = "double series %s at %r" % (spec.kind, spec.args)
     for _, s, _, stopped in _block_partials(
-        _Diagonals(spec), [_ScalarSum()], 0, DIAGONAL_CAP, _ULP, 4, 0,
+        _Diagonals(spec), (0.0,), 0, DIAGONAL_CAP, _ULP, 4, 0,
         lambda n: ValueError(
             "%s: diagonal %d or its partial sum left the double range" % (where, n)
         ),

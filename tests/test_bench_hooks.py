@@ -1,0 +1,64 @@
+"""The benchmark's hooks into the library still attach.
+
+The traced benchmark run wraps the functions that `bench/tracer.py`
+names, wherever a hypint module binds them, and audits each `series`
+operation by the route calls it makes.  A renamed function leaves a
+span missing, and a route moved between modules sends an operation
+down another tag's route; the traced run then reports it incorrect.
+This test runs the same wrapping and audit over one seed's `series`
+set, without editing anything under bench/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import hypint.cli  # noqa: F401  (loads every module the tracer wraps)
+from hypint import hypseries, jets
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "_bench_" + name, BENCH / (name + ".py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _run(op):
+    """A `series` operation as the benchmark makes it; raising is allowed."""
+    up, lo = list(op["upper"]), list(op["lower"])
+    k = op["order"]
+    if k:
+        side, idx = op["jet"]
+        params = up if side == "upper" else lo
+        params[idx] = params[idx] + jets.eps(k)
+    spec = hypseries.PFQSpec(tuple(up), tuple(lo), order=k)
+    try:
+        if op["call"] == "eval_at_one":
+            hypseries.eval_at_one(spec)
+        else:
+            hypseries.eval_series(spec, complex(*op["z"]))
+    except Exception:
+        pass
+
+
+def test_tracer_spans_attach_and_every_series_tag_takes_its_route():
+    tracing, cases = _load("tracer"), _load("cases")
+    ops = cases.series_ops(1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        strays = []
+        for op in ops:
+            tracer.seen = set()
+            _run(op)
+            if not tracing.audit(op["tag"], tracer.seen):
+                strays.append((op["tag"], op["order"], sorted(tracer.seen)))
+            tracer.seen = None
+    finally:
+        tracer.uninstall()
+    assert strays == []

@@ -648,6 +648,87 @@ def test_exit_2_on_missing_at(capsys):
     assert "--at" in err
 
 
+def test_eval_at_takes_a_value_that_starts_with_a_minus(capsys):
+    code, out, _ = run_cli(["eval", "ln(x)", "--at", "-1+i", "--json"], capsys)
+    assert code == 0
+    value = json.loads(out)["value"]
+    want = cmath.log(-1 + 1j)
+    assert abs(complex(value["re"], value["im"]) - want) <= 4 * math.ulp(abs(want))
+    # a plain negative number and the joined form read as before
+    assert run_cli(["eval", "x", "--at", "-2"], capsys)[:2] == (0, "value = -2\n")
+    assert run_cli(["eval", "ln(x)", "--at=-1+i"], capsys)[1] == run_cli(
+        ["eval", "ln(x)", "--at", "-1+i"], capsys
+    )[1]
+    code, _, err = run_cli(["eval", "x", "--at"], capsys)
+    assert code == 2 and "--at" in err
+
+
+@pytest.mark.parametrize("at, want", [("3", math.atan(3.0)), ("-1e10", math.atan(-1e10))])
+def test_eval_arctan_past_one_by_reflection(at, want, capsys):
+    code, out, _ = run_cli(["eval", "arctan(x)", "--at=" + at, "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert "arctan reflected to 1/x" in payload["trace"]
+    assert payload["value"]["re"] == pytest.approx(want, rel=1e-12)
+
+
+def test_eval_jet_text_lines(capsys):
+    # 2F1(a,1;3/2;x) = artanh(sqrt x)/sqrt x at a = 1/2, ln 3 at x = 1/4
+    from scipy.special import hyp2f1
+
+    code, out, _ = run_cli(
+        ["eval", "2F1(1/2+eps,1;3/2;x)", "--at", "1/4", "--jet", "2"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln.split(" = ")[0] for ln in lines[:4]] == [
+        "value", "jet[0]", "jet[1]", "jet[2]",
+    ]
+    assert lines[4].startswith("  ")
+    jet = [complex(ln.split(" = ")[1].replace(" ", "")) for ln in lines[1:4]]
+    assert jet[0].real == pytest.approx(math.log(3.0), rel=1e-12)
+    h = 1e-5
+    slope = (hyp2f1(0.5 + h, 1.0, 1.5, 0.25) - hyp2f1(0.5 - h, 1.0, 1.5, 0.25)) / (2 * h)
+    assert jet[1].real == pytest.approx(slope, rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # DLMF 10.22.43: int_0^oo t^mu J0(t) dt = 2^mu Gamma((1+mu)/2) / Gamma((1-mu)/2)
+        ("0F1(;1;-x^2/4)", 1.0),
+        ("x^(-1/2)*0F1(;1;-x^2/4)",
+         2**-0.5 * math.gamma(0.25) / math.gamma(0.75)),
+        ("x^(1/4)*0F1(;1;-x^2/4)",
+         2**0.25 * math.gamma(0.625) / math.gamma(0.375)),
+        # sin(x)/x, and int_0^oo x^(s-1) sin x dx = Gamma(s) sin(pi s/2) at s = 1/2
+        ("0F1(;3/2;-x^2/4)", math.pi / 2.0),
+        ("x^(-1/2)*x*0F1(;3/2;-x^2/4)", math.gamma(0.5) * math.sin(math.pi / 4.0)),
+    ],
+)
+def test_halfline_bessel_and_sine_moments(text, want, capsys):
+    code, out, _ = run_cli(["integrate", text, "--to", "inf", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"]["re"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, clause",
+    [
+        # int_0^oo sqrt(x) J0(x) and int_0^oo sin x diverge: (-z)^alpha F
+        # oscillates with an amplitude that does not decay
+        ("x^(1/2)*0F1(;1;-x^2/4)", "excess"),
+        ("x*0F1(;3/2;-x^2/4)", "excess"),
+        # int_0^oo cos x: the augmented series cancels to 0F1(;3/2)
+        ("0F1(;1/2;-x^2/4)", "algebraic"),
+    ],
+)
+def test_halfline_oscillating_divergent_bodies_exit_1(text, clause, capsys):
+    code, out, err = run_cli(["integrate", text, "--to", "inf"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("rejected: %s: " % clause)
+
+
 def test_exit_1_on_nonintegrable_power(capsys):
     code, _, err = run_cli(["integrate", "x^(-2)", "--to", "1"], capsys)
     assert code == 1

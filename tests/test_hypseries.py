@@ -410,16 +410,12 @@ def _pfq_stop(upper, lower, x: Fraction, tol: Fraction):
 
 
 def _complex_head(upper, lower, z: complex, tol: float):
-    """(count, sum) of the head recurrence in complex arithmetic, each
-    part summed with Neumaier compensation: the reference that real
-    series, summed in float, must match bit for bit."""
-
-    def add(s, c, x):
-        t = s + x
-        return t, c + ((s - t) + x if abs(s) >= abs(x) else (x - t) + s)
-
-    t = 1.0 + 0j
-    re, cre, im, cim = 1.0, 0.0, 0.0, 0.0
+    """(count, sum) of the head recurrence in complex arithmetic, the
+    stop test on the plain running sum and each part of the terms summed
+    once with math.fsum: the reference that real series, summed in
+    float, must match bit for bit."""
+    t = total = 1.0 + 0j
+    terms = [t]
     small = False
     for k in range(1, 64):
         num, den = z, float(k)
@@ -428,12 +424,12 @@ def _complex_head(upper, lower, z: complex, tol: float):
         for c in lower:
             den *= complex(c) + (k - 1)
         t = t * num / den
-        re, cre = add(re, cre, t.real)
-        im, cim = add(im, cim, t.imag)
-        total = complex(re + cre, im + cim)
+        terms.append(t)
+        total += t
         if abs(t) <= tol * max(1.0, abs(total)):
             if small:
-                return k + 1, total
+                return k + 1, complex(math.fsum(x.real for x in terms),
+                                      math.fsum(x.imag for x in terms))
             small = True
         else:
             small = False
@@ -461,6 +457,20 @@ def test_real_head_stops_where_the_exact_sum_does(upper, lower, x, tol):
     assert (n, sums[0]) == _complex_head(upper, lower, complex(x), tol)
 
 
+def test_real_head_sum_is_exactly_rounded_where_it_cancels():
+    # 0F1(;b;-322.4) stops inside the head after terms up to 5.5e11
+    # cancel down to 5e-4; a running compensated sum read
+    # 0.000500335858031492 there, 1 ulp from the exactly rounded sum of
+    # the same float terms
+    b, x = 2.5308252165727496, -322.4207263973143
+    *_, (n, sums, _, stopped) = _partials(
+        PFQSpec((), (b,), order=0), complex(x), TERM_CAP + 1, 1e-12
+    )
+    assert stopped and n < 64
+    assert (n, sums[0]) == _complex_head((), (b,), complex(x), 1e-12)
+    assert sums[0].real == 0.0005003358580314921
+
+
 @pytest.mark.parametrize("x", [1e30, -1e30])
 def test_real_head_overflow_names_the_first_bad_term(x):
     # 0F1(;3/2;x): log10 |t_k| is 286.3 at k = 10 and 314.2 at k = 11,
@@ -474,6 +484,15 @@ def test_real_head_overflow_names_the_first_bad_term(x):
     with pytest.raises(TermOverflowError) as err:
         eval_series(PFQSpec((), (1.5,), order=0), x)
     assert err.value.k == k
+
+
+@pytest.mark.parametrize("z", [1.0, complex(1.0, 1e-300)])
+def test_head_partial_sum_overflow_names_its_index(z):
+    # 1F1(2; 2e-308; z): t_1 = 1e308 and t_2 = 1.5e308 are doubles, but
+    # 1 + t_1 + t_2 is not; the complex z runs the complex head
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((2.0,), (2e-308,), order=0), z)
+    assert err.value.k == 2
 
 
 def test_scalar_block_overflow_names_the_first_bad_term():
@@ -970,6 +989,24 @@ def test_limit_rejects_too_few_upper():
     assert err.value.clause == "width"
 
 
+def test_limit_rejects_no_upper_parameter():
+    # 0F1 has only its oscillating exponential part at -oo
+    with pytest.raises(LimitConditionError) as err:
+        limit_at_minus_infinity(PFQSpec((), (1.5,)))
+    assert err.value.clause == "algebraic"
+
+
+def test_limit_gate_for_narrow_shape_is_half_the_excess_bound():
+    # 1F2(a; 1, 7/4): Re(sigma) - 1/2 = 2.25 - a, so the bound is
+    # a < 0.75, where the old gate took a < 1.125
+    with pytest.raises(LimitConditionError) as err:
+        limit_at_minus_infinity(PFQSpec((0.75,), (1.0, 1.75)))
+    assert err.value.clause == "excess"
+    assert "(Re(excess) - 1/2)/2" in str(err.value)
+    term = limit_at_minus_infinity(PFQSpec((0.7,), (1.0, 1.75)))
+    assert term.exponent.value == pytest.approx(0.7)
+
+
 def test_limit_rejects_congruent_parameters():
     # uppers an integer apart leave the pole at -alpha simple:
     # Gamma(2.5)Gamma(1)/(Gamma(1.5)Gamma(2)) = 1.5
@@ -988,7 +1025,8 @@ def test_limit_rejects_two_terminating_uppers():
 
 
 def test_limit_sigma_gate_for_narrow_shape():
-    # p = q-1 demands min(a) < Re(sigma) - 1/2
+    # p = q-1 demands min(a) < (Re(sigma) - 1/2)/2: here 1 against 0.5,
+    # then 0.3 against 0.85
     with pytest.raises(LimitConditionError) as err:
         limit_at_minus_infinity(PFQSpec((1.0,), (1.2, 1.3)))
     assert err.value.clause == "excess"

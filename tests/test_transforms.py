@@ -106,6 +106,23 @@ def test_near_one_connection_value():
     assert got == pytest.approx(special.hyp2f1(0.3, 0.4, 1.9, 0.97), abs=1e-10)
 
 
+@pytest.mark.parametrize("a, b, c", [(0.3, 0.7, 1.6), (1.25, 0.5, 2.4), (-0.4, 0.9, 0.85)])
+def test_near_one_connection_at_one_is_gauss_sum(a, b, c):
+    # at w = 1 the second branch carries u^(c-a-b) = 0, and the first is
+    # Gauss's sum Gamma(c)Gamma(c-a-b)/(Gamma(c-a)Gamma(c-b))
+    want = math.gamma(c) * math.gamma(c - a - b) / (
+        math.gamma(c - a) * math.gamma(c - b)
+    )
+    got = tr.gauss_near_one(PFQSpec((a, b), (c,), order=0), 1.0).value
+    assert got.real == pytest.approx(want, rel=1e-13)
+    assert got.imag == 0.0
+
+
+def test_near_one_connection_at_one_rejects_negative_excess():
+    with pytest.raises(SeriesError, match="diverges at argument 1"):
+        tr.gauss_near_one(PFQSpec((0.5, 0.7), (1.1,), order=0), 1.0)
+
+
 @pytest.mark.parametrize(
     "upper, lower",
     [
