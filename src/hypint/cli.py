@@ -5,7 +5,8 @@ read, evaluated and folded into integrands by `hypint.expr`; this module
 holds argparse, the commands and their output.
 
 Exit codes: 0 on success, 1 when a computation is rejected (the message
-names the failed clause), 2 on usage or parse errors.
+names the failed clause) or stdout is closed before the output is
+written, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -335,6 +337,21 @@ def _bind_at(argv: Sequence[str]) -> list:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _main(argv)
+        # a closed pipe raises here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: exit 1 without a traceback, and point
+        # stdout at the null device so that the flush at exit cannot
+        # raise again (the Python docs' note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     ap = _build_argparser()
     try:
         args = ap.parse_args(_bind_at(sys.argv[1:] if argv is None else argv))

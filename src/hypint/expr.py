@@ -553,6 +553,16 @@ def _lit_fraction(lit: Union[Rat, Dec]) -> Fraction:
     return Fraction(lit.text)
 
 
+def _quarter_powers(u: complex) -> tuple:
+    """(k, m) with u = 4^k m and 1/2 <= |m| < 2, exactly.
+
+    A 1F0 form at 1 - m then rounds m within an ulp of |m|, where
+    1 - (1 - u) would lose the low bits of a small u.
+    """
+    k = math.frexp(abs(u))[1] // 2
+    return k, complex(math.ldexp(u.real, -2 * k), math.ldexp(u.imag, -2 * k))
+
+
 class _Evaluator:
     def __init__(self, x: Optional[complex], order: int, tol: float = 1e-12):
         self.x = x
@@ -637,11 +647,11 @@ class _Evaluator:
         if e.fn == "arctan":
             if abs(u) <= 1.0:
                 self.trace.append("arctan as odd 2F1 series")
-                return self._odd("arctan", u)
+                return self._arctan(u)
             if u.imag == 0.0:
                 self.trace.append("arctan reflected to 1/x")
                 half = math.copysign(math.pi / 2.0, u.real)
-                return half - self._odd("arctan", 1.0 / u.real)
+                return half - self._arctan(1.0 / u.real)
             raise ComputationError("arctan outside the unit disk")
         if e.fn == "arcsin":
             if abs(u) <= 1.0:
@@ -650,19 +660,32 @@ class _Evaluator:
             raise ComputationError("arcsin outside [-1, 1]")
         if u.imag == 0.0 and (u.real < 0.0 or u.real == 0.0 and e.fn == "ln"):
             raise ComputationError("%s is cut along (-oo, 0]: %g" % (e.fn, u.real))
-        # u = 4^k m with 1/2 <= |m| < 2, exactly: the form's 1 - (1 - m)
-        # then rounds to m within an ulp of |m|, where 1 - (1 - u) would
-        # lose the low bits of a small u
-        k = math.frexp(abs(u))[1] // 2
-        m = complex(math.ldexp(u.real, -2 * k), math.ldexp(u.imag, -2 * k))
         if e.fn == "sqrt":
             self.trace.append("sqrt as 1F0(-1/2;;1-u)")
-            return math.ldexp(1.0, k) * self._1f0(as_jet(-0.5, 0), m).value
+            return self._sqrt(u)
         if e.fn == "ln":
             self.trace.append("ln as -[eps] 1F0(eps;;1-u)")
+            k, m = _quarter_powers(u)
             ln_m, ln_4 = (-extract(1, self._1f0(eps(1), v)) for v in (m, 4.0))
             return ln_m + k * ln_4
         raise ComputationError("unknown function %r" % e.fn)
+
+    def _sqrt(self, u: complex) -> complex:
+        """sqrt(u) = 2^k 1F0(-1/2;;1-m), u = 4^k m off the cut (-oo, 0)."""
+        k, m = _quarter_powers(u)
+        return math.ldexp(1.0, k) * self._1f0(as_jet(-0.5, 0), m).value
+
+    def _arctan(self, u: complex) -> complex:
+        """arctan(u) for |u| <= 1, u != +-i, by its odd 2F1 series.
+
+        The series runs at -u^2, next to its circle as |u| nears 1, so
+        past |u| = 1/2 it takes the half angle
+        arctan(u) = 2 arctan(u / (1 + sqrt(1 + u^2))), whose argument has
+        modulus at most 1/(1 + sqrt 2) on the real line.
+        """
+        if abs(u) <= 0.5:
+            return self._odd("arctan", u)
+        return 2.0 * self._odd("arctan", u / (1.0 + self._sqrt(1.0 + u * u)))
 
     def _odd(self, fn: str, u: Value) -> complex:
         """u * 2F1(a; 3/2; s u^2), with (a, s) from _ODD_SERIES."""

@@ -46,8 +46,9 @@ TERM_CAP = 1_000_000
 AT_ONE_CAP = 100_000
 _FIRST_CHECKPOINT = 64
 _BLOCK_CAP = 4096
-# |arg z| from which a sum on |z| = 1 goes to Levin's transform; closer
-# to z = 1 its weights amplify rounding past what Wynn's epsilon loses
+# |arg z| from which a sum at 0.95 <= |z| <= 1 goes to Levin's transform
+# first; closer to z = 1 its weights amplify rounding past what Wynn's
+# epsilon loses
 _LEVIN_MIN_ANGLE = 0.6
 # Levin's transform reads the terms t_0 .. t_40 and starts at s_10
 _LEVIN_START, _LEVIN_LAST = 10, 40
@@ -720,7 +721,8 @@ def _wynn_epsilon(seq: Sequence[complex]) -> complex:
     return best
 
 
-def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None):
+def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None,
+                 start=None):
     """The partial sums at the term counts 64*2^j within `cap`.
 
     Yields (S_n, False) at each checkpoint, S_n a plain number for a
@@ -728,32 +730,44 @@ def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None):
     decay algebraically, like n^(-sigma), and the geometric spacing
     turns them into linearly convergent sequences.  The sums come
     straight from _block_partials over one _Terms source, from the first
-    term on, with no per-term head.  With `tol` the plain sum may stop
-    first, as _block_partials says with `tol` and `bound`; it then
-    yields (S_n, True) and ends.
+    term on, with no per-term head; `start`, a pair from _levin_head,
+    hands over its source and its first 41 terms instead, so the sum
+    goes on from term 41 and no term is generated twice.  With `tol`
+    the plain sum may stop first, as _block_partials says with `tol`
+    and `bound`; it then yields (S_n, True) and ends.
     """
 
     def overflow(k: int) -> TermOverflowError:
         return _overflow(spec.describe(), z, k)
 
     scalar = spec.all_scalar
-    terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
-    # the first term, 1, and zeros for a jet's other coefficients
-    first = (1.0,) + (0.0,) * (0 if scalar else spec.order)
+    if start is None:
+        terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
+        # the first term, 1, and zeros for a jet's other coefficients
+        first = (1.0,) + (0.0,) * (0 if scalar else spec.order)
+        n, mag = 1, 1.0
+    else:
+        terms, head = start
+        real = head.dtype.kind == "f"
+        n = len(head)
+        first = [_fsum(col.tolist(), real, overflow, n - 1) for col in head.T]
+        mag = float(_row_norm(head).sum())
     # the last checkpoint within `cap` terms past the first: terms past
     # it could never reach another
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
     # sum|t_k| is read only by the floor of the stop with `bound`
-    mag = None if bound is None else 1.0
-    for n, s, _, stopped in _block_partials(terms, first, 1, limit, tol, 2, 0,
+    if bound is None:
+        mag = None
+    for n, s, _, stopped in _block_partials(terms, first, n, limit, tol, 2, 0,
                                             overflow, mag, bound):
         if stopped or not n & (n - 1):
             yield (s[0] if scalar else _jet(s)), stopped
 
 
-def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
+def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int,
+                     start=None) -> Jet:
     """The sum for |z| near or at 1, by the plain sum or by Wynn's epsilon.
 
     One pass over the checkpoints carries two stops and returns at
@@ -770,6 +784,8 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     and stops when two consecutive estimates agree within
     tol * max(1, |.|).  The table amplifies the rounding of the
     checkpoints a hundredfold and more.
+
+    `start` is a _levin_head pair whose 41 terms the sum goes on from.
     """
 
     def estimate(snaps: list):
@@ -785,7 +801,8 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
         bound = (az, max(0.0, excess - 1.0))
     snapshots: list = []
     prev_est = None
-    for snap, stopped in _checkpoints(spec, z, cap, tol if bound else None, bound):
+    for snap, stopped in _checkpoints(spec, z, cap, tol if bound else None, bound,
+                                      start):
         if stopped:
             return as_jet(snap, spec.order)
         snapshots.append(snap)
@@ -819,8 +836,23 @@ def _levin_weights() -> np.ndarray:
     return out
 
 
-def _levin_sum(spec: PFQSpec, z: complex, tol: float) -> Jet:
-    """The sum on |z| = 1, z != 1, by Levin's u-transform of 41 terms.
+def _levin_head(spec: PFQSpec, z: complex) -> tuple:
+    """(terms, t): the _Terms source of spec's series at z, now past
+    t_40, and the terms t_0 .. t_40 that Levin's transform reads, as the
+    rows of an array."""
+    terms = _Terms(spec, z, 1.0, _is_real(spec, z), spec.all_scalar)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blk = terms.block(0, _LEVIN_LAST)
+    t = np.concatenate((np.eye(1, blk.shape[1], dtype=blk.dtype), blk))
+    finite = np.isfinite(t).all(axis=1)
+    if not finite.all():
+        raise _overflow(spec.describe(), z, int(np.argmin(finite)))
+    return terms, t
+
+
+def _levin_sum(spec: PFQSpec, z: complex, tol: float, t: np.ndarray) -> Jet:
+    """The sum on or just inside |z| = 1, z != 1, by Levin's u-transform
+    of the 41 terms t_0 .. t_40 from _levin_head.
 
     Off z = 1 the term ratio tends to z and the tail after n terms is
     z^n n^(-sigma) times a series in 1/n, the remainder the u-transform
@@ -840,13 +872,6 @@ def _levin_sum(spec: PFQSpec, z: complex, tol: float) -> Jet:
     weights amplify rounding by about (2/|1-z|)^k, so near z = 1 the
     caller sums by Wynn instead.
     """
-    terms = _Terms(spec, z, 1.0, _is_real(spec, z), spec.all_scalar)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        blk = terms.block(0, _LEVIN_LAST)
-    t = np.concatenate((np.eye(1, blk.shape[1], dtype=blk.dtype), blk))
-    finite = np.isfinite(t).all(axis=1)
-    if not finite.all():
-        raise _overflow(spec.describe(), z, int(np.argmin(finite)))
     # L_k moves with a constant added to every s_n, so the window holds
     # s_n - s_40 = -(t_(n+1) + ... + t_40): rounding then scales with
     # the tail, not with the sum
@@ -1014,7 +1039,7 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         sigma = spec.sigma.value
         if sigma.real > 0:
             if abs(cmath.phase(z)) >= _LEVIN_MIN_ANGLE:
-                return _levin_sum(spec, z, tol)
+                return _levin_sum(spec, z, tol, _levin_head(spec, z)[1])
             return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
         raise DivergentError(
             "boundary argument %r needs positive parameter excess, have %r"
@@ -1031,8 +1056,16 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
             return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
     if az >= 0.95:
         # the plain sum to its tail bound, or Wynn's epsilon where that
-        # has not settled first
-        return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
+        # has not settled first; from |arg z| = 0.6 on, as on the circle,
+        # Levin's 41 terms come first, and the sum goes on from them
+        # where they do not settle
+        if abs(cmath.phase(z)) < _LEVIN_MIN_ANGLE:
+            return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
+        head = _levin_head(spec, z)
+        try:
+            return _levin_sum(spec, z, tol, head[1])
+        except ConvergenceError:
+            return _accelerated_sum(spec, z, tol, AT_ONE_CAP, head)
     # the term ratio of a unit-disk series tends to z, so the tail left
     # after the last summed term t is about |t| |z| / (1 - |z|): past
     # |z| = 1/2 the stop test on single terms has to be that much

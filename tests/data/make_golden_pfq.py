@@ -27,9 +27,10 @@ Sections:
 - circle: 2F1, 3F2 and 4F3 on |z| = 1 off z = 1, by mpmath's hyper;
   jets by Cauchy's formula as for at_one.  Rows marked `raises` are
   beyond the engine's reach and must end in a typed SeriesError.
-- ring: 2F1, 3F2 and 4F3 at 0.95 <= |z| < 1, where the engine sums
-  plainly or by Wynn's epsilon, as for circle.  Where mpmath's
-  Euler-Maclaurin tail does not converge, its series is summed directly.
+- ring: 2F1, 3F2 and 4F3 at 0.95 <= |z| < 1, where the engine sums by
+  Levin's transform, plainly or by Wynn's epsilon, as for circle.
+  Where mpmath's Euler-Maclaurin tail does not converge, its series is
+  summed directly.
 - appell: Appell's F1 and F2 by mpmath's appellf1 and appellf2, for
   multivar.eval_double.  F1 at moduli 1/3, 0.6 and 0.75 with arguments
   of one sign, of opposite signs (the diagonal sums cancel) and complex;
@@ -246,9 +247,14 @@ RING = [
     # a stop is bounded by a ratio above |z|; checked at the engine's tol
     ("growth 2F1 at 0.99", [6.0, 5.0], [1.0], 0.99, 0.0, None, 1e-12, False),
     ("growth 3F2 at 0.96", [2.9, 2.9, 2.9], [0.5, 0.5], 0.96, 0.0, None, 1e-12, False),
-    # beyond reach: 1 - |z| = 1e-5, and terms that cancel past double
-    # precision (sum |t_k| / |sum| = 1.3e17)
-    ("raises 2F1 deep", [0.3, 0.7], [1.4], 1.0 - 1e-5, 0.7, None, 1e-11, True),
+    # Levin's 41 terms do not settle, and the sum goes on from them
+    ("2F1 levin fallback 0.974 e^-0.78i", [1.31, 1.41], [0.52], 0.974, -0.78, None, 1e-11, False),
+    ("3F2 levin fallback 0.957 e^0.72i", [2.23, 2.48, 1.0], [2.09, 2.0], 0.957, 0.72, None, 1e-11, False),
+    # 1 - |z| = 1e-5 at |arg z| >= 0.6, where Levin's 41 terms settle
+    ("2F1 deep e^0.7i", [0.3, 0.7], [1.4], 1.0 - 1e-5, 0.7, None, 1e-11, False),
+    ("2F1 deep e^i", [0.3, 0.7], [1.4], 1.0 - 1e-5, 1.0, None, 1e-11, False),
+    # beyond reach: 1 - |z| = 1e-5 on the real axis, and terms that
+    # cancel past double precision (sum |t_k| / |sum| = 1.3e17)
     ("raises 2F1 deep real", [0.3, 0.7], [1.0], 1.0 - 1e-5, 0.0, None, 1e-11, True),
     ("raises cancelled", [6.0, 5.0], [1.0], 0.998, 0.3, None, 1e-11, True),
 ]

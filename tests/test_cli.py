@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -672,6 +673,15 @@ def test_eval_arctan_past_one_by_reflection(at, want, capsys):
     assert payload["value"]["re"] == pytest.approx(want, rel=1e-12)
 
 
+def test_integrate_constant_arctan_factor(capsys):
+    # arctan(1) folds as a constant; it was 4.0e-13 off pi/4
+    code, out, _ = run_cli(
+        ["integrate", "arctan(1)/(1+x^2)", "--to", "inf", "--json"], capsys
+    )
+    assert code == 0
+    assert abs(json.loads(out)["value"]["re"] - math.pi ** 2 / 8) <= 2e-14
+
+
 def test_eval_jet_text_lines(capsys):
     # 2F1(a,1;3/2;x) = artanh(sqrt x)/sqrt x at a = 1/2, ln 3 at x = 1/4
     from scipy.special import hyp2f1
@@ -842,6 +852,29 @@ def test_module_entry_point_runs(src_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("value = 2")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["eval", "arctan(x)", "--at", "0.5"]],
+                         ids=["verify", "eval"])
+def test_closed_pipe_exits_1_without_a_traceback(argv, src_env):
+    # stdout is a pipe whose reader has already gone, as in `... | head -1`
+    # once head has exited; a long output fails in a write, a short one
+    # in the last flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypint", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=src_env,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

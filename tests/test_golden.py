@@ -212,11 +212,50 @@ def test_small_angle_circle_reads_term_blocks_only(monkeypatch):
 
 
 def test_ring_plain_sum_skips_wynn(monkeypatch):
+    # below 0.6 rad the ring is summed plainly, with no Levin first
     def refuse(*args):
         raise AssertionError("Wynn's epsilon reached where the plain sum settles")
 
     monkeypatch.setattr(hypseries, "_wynn_epsilon", refuse)
+    _check_row(_ring_row("4F3 0.99 e^0.4i"))
+
+
+def _recording_blocks(monkeypatch):
+    asked = []
+    block = hypseries._Terms.block
+
+    def counting(self, k0, m):
+        asked.append((k0, m))
+        return block(self, k0, m)
+
+    monkeypatch.setattr(hypseries._Terms, "block", counting)
+    return asked
+
+
+def test_off_axis_ring_settles_on_levins_terms(monkeypatch):
+    # Levin's transform of t_0 .. t_40 settles: one block of 40 terms
+    # past the first, and no checkpoint or Wynn table
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ring's plain sum reached where Levin settles")
+
+    monkeypatch.setattr(hypseries, "_checkpoints", refuse)
+    monkeypatch.setattr(hypseries, "_wynn_epsilon", refuse)
+    asked = _recording_blocks(monkeypatch)
     _check_row(_ring_row("2F1 0.97 e^0.7i"))
+    assert asked == [(0, 40)]
+
+
+@pytest.mark.parametrize(
+    "label", ["2F1 levin fallback 0.974 e^-0.78i", "3F2 levin fallback 0.957 e^0.72i"]
+)
+def test_off_axis_ring_goes_on_from_levins_terms(label, monkeypatch):
+    # Levin's 41 terms do not settle; the plain sum or Wynn goes on from
+    # term 41 on the same source, its first block ending at 64, and
+    # every term is made once: the blocks tile 1 .. n
+    asked = _recording_blocks(monkeypatch)
+    _check_row(_ring_row(label))
+    assert asked[:2] == [(0, 40), (40, 23)]
+    assert all(k0 == a + m for (a, m), (k0, _) in zip(asked, asked[1:]))
 
 
 def test_cancelled_ring_sum_goes_on_by_wynn(monkeypatch):

@@ -599,6 +599,24 @@ def test_circle_terms_that_underflow_end_the_sum():
     assert got.imag == pytest.approx(1e-19 * z.imag, rel=1e-14)
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_ring_sum_from_levins_terms_matches_the_sum_from_the_first(order):
+    # the checkpoints summed on from Levin's t_0 .. t_40 are those summed
+    # from t_0, up to the rounding of terms made in other blocks; a term
+    # lost or counted twice at the hand-off would move them by |t_41|,
+    # about 64 here
+    a = 1.31 if order == 0 else 1.31 + eps(order)
+    spec, z = PFQSpec((a, 1.41), (0.52,)), cmath.rect(0.974, -0.78)
+    whole = [s for s, _ in hypseries._checkpoints(spec, z, 4096)]
+    start = hypseries._levin_head(spec, z)
+    assert start[1].shape[0] == 41
+    handed = [s for s, _ in hypseries._checkpoints(spec, z, 4096, start=start)]
+    assert len(handed) == len(whole) == 7
+    for x, y in zip(whole, handed):
+        x, y = as_jet(x, order), as_jet(y, order)
+        assert max(map(abs, (x - y).coeffs)) <= 1e-12 * max(map(abs, x.coeffs))
+
+
 def test_exp_up_to_the_overflow_threshold():
     # each term is a running product of ~700 ratios, ~k ulp off at term k
     got = eval_series(PFQSpec((), (), order=0), 709.0).value
