@@ -281,6 +281,12 @@ def _fmt_param(p) -> str:
 # entry point
 
 
+def _jet_order(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError("jet order must be >= 0, got %s" % text)
+    return int(text)
+
+
 # built once per process: in-process callers run main() many times, and
 # parse_args leaves the parser unchanged
 @functools.cache
@@ -294,7 +300,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate an expression at a point")
     p_eval.add_argument("expr")
     p_eval.add_argument("--at", help="value of x (an expression; constants allowed)")
-    p_eval.add_argument("--jet", type=int, default=0, help="jet order of the output")
+    p_eval.add_argument("--jet", type=_jet_order, default=0, help="output jet order")
     p_eval.add_argument("--json", action="store_true")
     p_eval.set_defaults(fn=_cmd_eval)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, Union
 
-from .hypseries import PFQSpec, eval_series
+from .hypseries import PFQSpec, eval_series, route
 from .integrate import DRIVER_TOL, _fmt_complex
 from .jets import Jet, as_jet, eps, extract
 
@@ -633,9 +633,9 @@ class _Evaluator:
             raise ComputationError("series argument cannot carry eps")
         jetted = any(isinstance(p, Jet) for p in upper + lower)
         spec = PFQSpec(upper, lower, order=self.order if jetted else 0)
-        self.trace.append(
-            "%dF%d series at %s" % (len(upper), len(lower), _fmt_complex(z))
-        )
+        name = route(spec, spec.argument(z))
+        via = "series" if name == "direct" else "by " + name
+        self.trace.append("%dF%d %s at %s" % (spec.p, spec.q, via, _fmt_complex(z)))
         out = eval_series(spec, z, tol=self.tol)
         return out if jetted else _unwrap(out)
 

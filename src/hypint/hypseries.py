@@ -13,7 +13,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -29,11 +28,9 @@ __all__ = [
     "TermOverflowError",
     "PrecisionLossError",
     "LimitConditionError",
-    "Kind",
-    "ConvergenceClass",
     "AsymptoticTerm",
     "PFQSpec",
-    "classify",
+    "route",
     "eval_series",
     "value_at_zero",
     "eval_at_one",
@@ -88,18 +85,6 @@ class LimitConditionError(SeriesError):
     def __init__(self, clause: str, message: str):
         self.clause = clause
         super().__init__("%s: %s" % (clause, message))
-
-
-class Kind(Enum):
-    ENTIRE = "Entire"
-    UNIT_DISK = "UnitDisk"
-    POLYNOMIAL = "Polynomial"
-
-
-@dataclass(frozen=True)
-class ConvergenceClass:
-    kind: Kind
-    sigma: complex
 
 
 @dataclass(frozen=True)
@@ -232,18 +217,6 @@ class PFQSpec:
             ", ".join(one(a) for a in self.upper),
             ", ".join(one(c) for c in self.lower),
         )
-
-
-def _kind(spec: PFQSpec) -> Kind:
-    if spec.terminating_degree() is not None:
-        return Kind.POLYNOMIAL
-    if spec.p == spec.q + 1:
-        return Kind.UNIT_DISK
-    return Kind.ENTIRE
-
-
-def classify(spec: PFQSpec) -> ConvergenceClass:
-    return ConvergenceClass(_kind(spec), spec.sigma.value)
 
 
 def value_at_zero(spec: PFQSpec) -> Jet:
@@ -963,47 +936,96 @@ def eval_series(spec: PFQSpec, x: complex, tol: float = DEFAULT_TOL) -> Jet:
     return _eval_argument(spec, spec.argument(x), tol)
 
 
-def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
+def route(spec: PFQSpec, z: complex) -> str:
+    """The route that sums spec's series at the argument z: zero,
+    terminating, exp, kummer, direct, binomial, pfaff, at_one, near_one,
+    wynn or levin, each a runner in _eval_argument.  Builds no term and
+    calls no transformation; raises DivergentError where none applies."""
     if z == 0:
-        return value_at_zero(spec)
-    kind = _kind(spec)
-    if kind is Kind.POLYNOMIAL:
-        return _sum_terminating(spec, z, tol)
-    if kind is Kind.ENTIRE:
+        return "zero"
+    if spec.terminating_degree() is not None:
+        return "terminating"
+    if spec.p <= spec.q:
         if spec.p == 0 and spec.q == 0:
-            # 0F0(;;z) = e^z, which the alternating series past z = -20
-            # cancels away
-            try:
-                return as_jet(cmath.exp(z), spec.order)
-            except OverflowError:
-                raise TermOverflowError(
-                    0, "0F0 at %r: e^z leaves the double range" % z
-                ) from None
+            return "exp"
         if spec.p == 1 and spec.q == 1 and z.real < 0.0:
-            # Kummer, DLMF 13.2.39: 1F1(a;b;z) = e^z 1F1(b-a;b;-z).  Past
-            # k = a - b the series at -z keeps one sign, so it does not
-            # cancel the way the alternating one does.  Two factors
-            # e^(z/2) stay normal doubles where e^z alone would underflow.
-            (a,), (b,) = spec.upper, spec.lower
-            moved = PFQSpec((b - a,), (b,), order=spec.order)
-            inner = _eval_argument(moved, -z, tol)
-            half = cmath.exp(z / 2.0)
-            return _jet(tuple([c * half * half for c in inner.coeffs]))
-        return _direct_sum(spec, z, tol, TERM_CAP)
-    if spec.p == 1 and spec.q == 0:
+            return "kummer"
+        return "direct"
+    if spec.p == 1:
         # 1F0(a;;z) = (1-z)^(-a): the value 0 at z = 1 for Re a < 0, and
         # cut along (1, oo) unless a is an integer
-        a, w = spec.upper[0], 1.0 - z
+        a = spec.upper[0]
         if z == 1.0 and a.value.real < 0.0:
-            return eval_at_one(spec, tol)
+            return "at_one"
         whole = a.is_scalar and a.value.imag == 0.0 and a.value.real.is_integer()
         if z.imag == 0.0 and z.real >= 1.0 and (z == 1.0 or not whole):
             raise DivergentError(
                 "%s at %r: (1-z)^(-a) has its pole or branch point at 1 and "
                 "is cut along (1, oo) for non-integer a" % (spec.describe(), z)
             )
+        return "binomial"
+    if spec.p == 2 and z.imag == 0.0:
+        if z.real <= -0.9:
+            return "pfaff"
+        if 0.95 < z.real < 1.0:
+            # too close to 1 for plain acceleration, and too far for F(1),
+            # off by about |1-z|^(c-a-b), even within 1e-14 of 1
+            return "near_one"
+    az = abs(z)
+    if az > 1.0 + 1e-14:
+        raise DivergentError(
+            "%s diverges at %r (|argument| > 1)" % (spec.describe(), z)
+        )
+    if abs(az - 1.0) <= 1e-14:
+        if abs(z - 1.0) <= 1e-14:
+            return "at_one"
+        sigma = spec.sigma.value
+        if not sigma.real > 0:
+            raise DivergentError(
+                "boundary argument %r needs positive parameter excess, have %r"
+                % (z, sigma)
+            )
+    elif az < 0.95:
+        return "direct"
+    return "levin" if abs(cmath.phase(z)) >= _LEVIN_MIN_ANGLE else "wynn"
+
+
+def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
+    """Sum spec's series at the argument z by the runner that `route` names."""
+    name = route(spec, z)
+    if name == "direct":
+        if spec.p > spec.q:
+            # a unit-disk tail after the last term t is about |t| |z| / (1 - |z|):
+            # past |z| = 1/2 the stop test on single terms has to be that
+            # much stricter for the tail to stay below tol
+            tol *= min(1.0, (1.0 - abs(z)) / abs(z))
+        return _direct_sum(spec, z, tol, TERM_CAP)
+    if name == "zero":
+        return value_at_zero(spec)
+    if name == "terminating":
+        return _sum_terminating(spec, z, tol)
+    if name == "exp":
+        # 0F0(;;z) = e^z, which the alternating series past z = -20
+        # cancels away
+        try:
+            return as_jet(cmath.exp(z), spec.order)
+        except OverflowError:
+            raise TermOverflowError(
+                0, "0F0 at %r: e^z leaves the double range" % z
+            ) from None
+    if name == "kummer":
+        # Kummer, DLMF 13.2.39: 1F1(a;b;z) = e^z 1F1(b-a;b;-z).  Past
+        # k = a - b the series at -z keeps one sign, so it does not
+        # cancel the way the alternating one does.  Two factors
+        # e^(z/2) stay normal doubles where e^z alone would underflow.
+        (a,), (b,) = spec.upper, spec.lower
+        inner = _eval_argument(PFQSpec((b - a,), (b,), order=spec.order), -z, tol)
+        half = cmath.exp(z / 2.0)
+        return _jet(tuple([c * half * half for c in inner.coeffs]))
+    if name == "binomial":
         # the value by libm's pow, which exp(-a log(1-z)) would round
         # |a log(1-z)| times; the jet part is exp of a nilpotent
+        a, w = spec.upper[0], 1.0 - z
         try:
             jet = w ** -a.value * jet_exp((a.value - a) * cmath.log(w))
             if all(map(cmath.isfinite, jet.coeffs)):
@@ -1011,12 +1033,22 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         except OverflowError:
             pass
         raise TermOverflowError(0, "1F0 at %r leaves the double range" % z)
-    # unit disk
-    az = abs(z)
-    if spec.p == 2 and z.imag == 0.0 and z.real <= -0.9:
-        from .transforms import gauss_near_one, pfaff
-
-        plain = PFQSpec(spec.upper, spec.lower, order=spec.order)
+    if name == "at_one":
+        return eval_at_one(spec, tol)
+    if name == "wynn":
+        return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
+    if name == "levin":
+        head = _levin_head(spec, z)
+        try:
+            return _levin_sum(spec, z, tol, head[1])
+        except ConvergenceError:
+            if abs(abs(z) - 1.0) <= 1e-14:
+                raise
+            # on the ring the plain sum or Wynn goes on from Levin's terms
+            return _accelerated_sum(spec, z, tol, AT_ONE_CAP, head)
+    from .transforms import gauss_near_one, pfaff
+    plain = PFQSpec(spec.upper, spec.lower, order=spec.order)
+    if name == "pfaff":
         moved = pfaff(plain, z.real)
         w = moved.argument
         if w.real > 0.95:
@@ -1029,48 +1061,13 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         else:
             inner = _eval_argument(moved.spec, w, tol)
         return moved.prefactor * inner
-    if az > 1.0 + 1e-14:
-        raise DivergentError(
-            "%s diverges at %r (|argument| > 1)" % (spec.describe(), z)
-        )
-    if abs(az - 1.0) <= 1e-14:
+    try:
+        return gauss_near_one(plain, z.real, tol)
+    except SeriesError:
+        # refused: integer c-a-b, or a lead past the double range
         if abs(z - 1.0) <= 1e-14:
             return eval_at_one(spec, tol)
-        sigma = spec.sigma.value
-        if sigma.real > 0:
-            if abs(cmath.phase(z)) >= _LEVIN_MIN_ANGLE:
-                return _levin_sum(spec, z, tol, _levin_head(spec, z)[1])
-            return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
-        raise DivergentError(
-            "boundary argument %r needs positive parameter excess, have %r"
-            % (z, sigma)
-        )
-    if spec.p == 2 and z.imag == 0.0 and z.real > 0.95:
-        # too close to the branch point for plain acceleration
-        from .transforms import gauss_near_one
-
-        plain = PFQSpec(spec.upper, spec.lower, order=spec.order)
-        try:
-            return gauss_near_one(plain, z.real, tol)
-        except SeriesError:
-            return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
-    if az >= 0.95:
-        # the plain sum to its tail bound, or Wynn's epsilon where that
-        # has not settled first; from |arg z| = 0.6 on, as on the circle,
-        # Levin's 41 terms come first, and the sum goes on from them
-        # where they do not settle
-        if abs(cmath.phase(z)) < _LEVIN_MIN_ANGLE:
-            return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
-        head = _levin_head(spec, z)
-        try:
-            return _levin_sum(spec, z, tol, head[1])
-        except ConvergenceError:
-            return _accelerated_sum(spec, z, tol, AT_ONE_CAP, head)
-    # the term ratio of a unit-disk series tends to z, so the tail left
-    # after the last summed term t is about |t| |z| / (1 - |z|): past
-    # |z| = 1/2 the stop test on single terms has to be that much
-    # stricter for the tail to stay below tol
-    return _direct_sum(spec, z, tol * min(1.0, (1.0 - az) / az), TERM_CAP)
+        return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
 
 
 def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:

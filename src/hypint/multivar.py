@@ -254,9 +254,6 @@ class PhiIntegrand:
         return (p + math.sqrt(p)) ** self.exponent
 
 
-_PHI_ALPHA = 3 ** -0.5  # 4 a^2 = 4/3
-
-
 def ialpha_series_rep(alpha, variant: int = 0) -> DoubleSeriesSpec:
     """The generalized-F1 representation of I(alpha), without the 2^(-alpha).
 

@@ -27,15 +27,20 @@ def _load(name):
     return mod
 
 
-def _run(op):
-    """A `series` operation as the benchmark makes it; raising is allowed."""
+def _spec(op):
+    """The spec of a `series` operation as the benchmark makes it."""
     up, lo = list(op["upper"]), list(op["lower"])
     k = op["order"]
     if k:
         side, idx = op["jet"]
         params = up if side == "upper" else lo
         params[idx] = params[idx] + jets.eps(k)
-    spec = hypseries.PFQSpec(tuple(up), tuple(lo), order=k)
+    return hypseries.PFQSpec(tuple(up), tuple(lo), order=k)
+
+
+def _run(op):
+    """A `series` operation as the benchmark makes it; raising is allowed."""
+    spec = _spec(op)
     try:
         if op["call"] == "eval_at_one":
             hypseries.eval_at_one(spec)
@@ -61,4 +66,31 @@ def test_tracer_spans_attach_and_every_series_tag_takes_its_route():
             tracer.seen = None
     finally:
         tracer.uninstall()
+    assert strays == []
+
+
+# the route names that each `series` tag may take: an entire 1F1 at
+# Re z < 0 goes by Kummer, a polynomial at 0 is the zero route, and the
+# ring's `wynn` ops from |arg z| = 0.6 on go to Levin first
+TAG_ROUTES = {
+    "direct": {"direct"},
+    "entire": {"direct", "kummer"},
+    "terminating": {"terminating", "zero"},
+    "near_one": {"near_one"},
+    "pfaff": {"pfaff"},
+    "boundary": {"levin"},
+    "wynn": {"levin", "wynn"},
+}
+
+
+def test_every_series_tag_takes_its_named_route():
+    # Levin's runner makes no call that the tracer wraps, so the audit
+    # above cannot see it; the route chooser names it
+    strays = []
+    for op in _load("cases").series_ops(1):
+        if op["call"] == "eval_series":
+            spec = _spec(op)
+            name = hypseries.route(spec, spec.argument(complex(*op["z"])))
+            if name not in TAG_ROUTES[op["tag"]]:
+                strays.append((op["id"], op["tag"], name))
     assert strays == []

@@ -649,6 +649,27 @@ def test_exit_2_on_missing_at(capsys):
     assert "--at" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "1/2", "--jet", "-1"],
+    ["eval", "2F1(1/2+eps,1;3/2;x)", "--at", "1/4", "--jet", "-3"],
+])
+def test_exit_2_on_negative_jet_order(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "--jet" in err
+
+
+@pytest.mark.parametrize("at, line", [
+    ("-5", "2F1 by pfaff at -5"),
+    ("0.97", "2F1 by near_one at 0.96999999999999997"),
+    ("0.25", "2F1 series at 0.25"),
+])
+def test_eval_trace_names_the_route(at, line, capsys):
+    code, out, _ = run_cli(["eval", "2F1(0.5,0.7;1.3;x)", "--at", at, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["trace"] == [line]
+
+
 def test_eval_at_takes_a_value_that_starts_with_a_minus(capsys):
     code, out, _ = run_cli(["eval", "ln(x)", "--at", "-1+i", "--json"], capsys)
     assert code == 0

@@ -16,7 +16,6 @@ from hypint.hypseries import (
     AsymptoticTerm,
     ConvergenceError,
     DivergentError,
-    Kind,
     LimitConditionError,
     PFQSpec,
     PrecisionLossError,
@@ -27,10 +26,10 @@ from hypint.hypseries import (
     _extrapolate_at_one,
     _partials,
     cancel_parameters,
-    classify,
     eval_at_one,
     eval_series,
     limit_at_minus_infinity,
+    route,
     value_at_zero,
 )
 
@@ -81,29 +80,89 @@ def test_argument_fractional_power_uses_principal_branch():
     assert got == pytest.approx(2.0j)
 
 
-# -- classification ---------------------------------------------------------
+# -- classification: the route chooser ---------------------------------------
 
 
 def test_polynomial_takes_precedence_over_disk():
     spec = PFQSpec((-3.0, 2.0), (4.0,))
-    assert classify(spec).kind is Kind.POLYNOMIAL
+    assert route(spec, 0.5) == route(spec, 3.0) == "terminating"
     assert spec.terminating_degree() == 3
 
 
 def test_entire_when_p_at_most_q():
-    assert classify(PFQSpec((1.0,), (2.0, 3.0))).kind is Kind.ENTIRE
+    assert route(PFQSpec((1.0,), (2.0, 3.0)), 50.0) == "direct"
 
 
 def test_unit_disk_when_p_exceeds_q_by_one():
-    cls = classify(PFQSpec((1.0, 1.0), (2.0,)))
-    assert cls.kind is Kind.UNIT_DISK
-    assert cls.sigma == pytest.approx(0.0)
+    spec = PFQSpec((1.0, 1.0), (2.0,))
+    assert route(spec, 0.5) == "direct"
+    assert route(spec, 1.0) == "at_one"
+    with pytest.raises(DivergentError, match=r"\|argument\| > 1"):
+        route(spec, 2.0j)
+    assert spec.sigma.value == pytest.approx(0.0)
 
 
 def test_jet_upper_with_nonpositive_integer_base_does_not_terminate():
     # a genuine perturbation keeps every Pochhammer factor nonzero
     spec = PFQSpec((-2.0 + eps(1), 1.0), (2.0,))
-    assert classify(spec).kind is Kind.UNIT_DISK
+    assert route(spec, 0.5) == "direct"
+
+
+_F21 = ((0.3, 0.7), (1.4,))
+_ROUTES = [
+    ("zero", _F21, 0j),
+    ("terminating", ((-3.0, 2.0), (4.0,)), 0.5),
+    ("exp", ((), ()), -30.0),
+    ("kummer", ((0.5,), (1.5,)), -3.0 + 1j),
+    ("direct", ((0.5,), (1.5,)), 3.0),
+    ("direct", ((), (1.5,)), -400.0),
+    ("direct", _F21, 0.6 + 0.7j),
+    ("binomial", ((0.5,), ()), 3.0j),
+    ("binomial", ((2.0,), ()), 3.0),
+    ("at_one", ((-0.5,), ()), 1.0),
+    ("at_one", _F21, 1.0),
+    ("at_one", ((1.0, 1.0, 0.5), (1.5, 2.0)), 1.0),
+    ("pfaff", _F21, -0.9),
+    ("pfaff", _F21, -5.0),
+    ("near_one", _F21, 0.97),
+    ("near_one", _F21, 1.0 - 1e-15),
+    ("wynn", _F21, cmath.exp(0.3j)),
+    ("levin", _F21, cmath.exp(1j)),
+    ("wynn", _F21, 0.97 * cmath.exp(0.3j)),
+    ("levin", _F21, 0.97 * cmath.exp(0.7j)),
+    ("wynn", ((1.0, 1.0, 1.0), (2.0, 1.5)), 0.97),
+    ("levin", ((1.0, 1.0, 1.0), (2.0, 1.5)), -0.97),
+]
+_NO_ROUTE = [
+    (_F21, 1.5j, r"\|argument\| > 1"),
+    (((1.0, 1.0), (2.0,)), cmath.exp(1j), "positive parameter excess"),
+    (((0.5,), ()), 2.0, "cut along"),
+    (((0.5,), ()), 1.0, "cut along"),
+]
+
+
+def _route_table():
+    for name, (up, lo), z in _ROUTES:
+        assert route(PFQSpec(up, lo), complex(z)) == name, (name, up, lo, z)
+    for (up, lo), z, message in _NO_ROUTE:
+        with pytest.raises(DivergentError, match=message):
+            route(PFQSpec(up, lo), complex(z))
+
+
+def test_route_names_one_argument_per_region():
+    _route_table()
+
+
+def test_route_makes_no_terms_and_calls_no_transformation(monkeypatch):
+    from hypint import transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("route ran a summation step")
+
+    monkeypatch.setattr(hypseries._Terms, "block", refuse)
+    for name in ("pfaff", "gauss_near_one"):
+        monkeypatch.setattr(transforms, name, refuse)
+    _route_table()
 
 
 def test_value_at_zero_is_one():
@@ -249,6 +308,25 @@ def test_near_one_with_large_c_falls_back_to_the_sum(c, z):
 def test_pfaff_near_one_with_large_c_raises_typed_error():
     with pytest.raises(SeriesError, match="double range"):
         eval_series(PFQSpec((1.5, 0.7), (200.3,), order=0), -60.0)
+
+
+@pytest.mark.parametrize("a", [0.8, 0.99])
+@pytest.mark.parametrize("z", [1.0 - 1e-15, 1.0 - 4e-15, 1.0 - 1e-14])
+def test_near_one_within_1e14_of_one_is_not_f_at_one(a, z):
+    # 2F1(a,a;a+1;z) = a z^-a B(a,1-a) I_z(a,1-a); F(1) would be off by
+    # about |1-z|^(1-a), 2.4 times the value at a = 0.99
+    want = a * z**-a * special.beta(a, 1 - a) * special.betainc(a, 1 - a, z)
+    got = eval_series(PFQSpec((a, a), (a + 1,)), z).value
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_near_one_window_with_integer_excess_keeps_f_at_one():
+    # the connection refuses c-a-b = 1 and 0; within 1e-14 of 1 the
+    # value is F(1) and the excess 0 diverges there, as before
+    spec = PFQSpec((1.0, 1.0), (3.0,))
+    assert eval_series(spec, 1.0 - 1e-15).value == eval_at_one(spec).value
+    with pytest.raises(DivergentError, match="divergent at 1"):
+        eval_series(PFQSpec((1.0, 1.0), (2.0,)), 1.0 - 1e-15)
 
 
 # -- evaluation: argument one ----------------------------------------------
