@@ -350,7 +350,7 @@ class _Parser:
             return _literal_of(t)
         if t.kind == "IMAG":
             self.take()
-            return Imag(Fraction(t.text))
+            return Imag(Fraction(_in_range(t)))
         if t.kind == "NFQ":
             return self.pfq()
         if t.kind == "IDENT":
@@ -412,10 +412,19 @@ class _Parser:
         return Div(a, b)
 
 
+def _in_range(t: _Tok) -> str:
+    """t's text, whose nearest double must be finite, and nonzero unless t is 0."""
+    x = float(t.text)
+    if math.isinf(x) or (x == 0.0 and t.text.lower().split("e")[0].strip("0.")):
+        raise ParseError("number %s lies outside the double range" % t.text, t.pos)
+    return t.text
+
+
 def _literal_of(t: _Tok) -> Union[Rat, Dec]:
-    if "." in t.text or "e" in t.text or "E" in t.text:
-        return Dec(t.text)
-    return Rat(Fraction(int(t.text)))
+    text = _in_range(t)
+    if "." in text or "e" in text or "E" in text:
+        return Dec(text)
+    return Rat(Fraction(int(text)))
 
 
 def _negate_literal(e: Expr) -> Optional[Expr]:

@@ -18,7 +18,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet, jet_exp
+from .jets import DEFAULT_ORDER, Jet, _jet, _magnitude, as_jet, jet_exp, jet_pow
+from .numkernel import _gamma_jet_product
 from .numkernel import _is_nonpositive_integer, gamma_product, pochhammer
 
 __all__ = [
@@ -30,6 +31,9 @@ __all__ = [
     "LimitConditionError",
     "AsymptoticTerm",
     "PFQSpec",
+    "Moved",
+    "pfaff",
+    "gauss_near_one",
     "route",
     "eval_series",
     "value_at_zero",
@@ -476,6 +480,12 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                                    overflow, mag)
 
 
+def _running_norms(sums: tuple, blk: np.ndarray, real: bool) -> np.ndarray:
+    """_row_norm of each partial sum through the rows of `blk`, from `sums`."""
+    now = np.array(sums[: blk.shape[1]])
+    return _row_norm((now.real if real else now) + np.cumsum(blk, axis=0))
+
+
 def _tail_tiny(size, scale, k, bound):
     """Whether |t_k| r_k / (1 - r_k) <= scale, r_k = |z| (1 + g/k).
 
@@ -536,9 +546,7 @@ def _block_partials(terms, first, n: int, limit: int, tol, run: int,
             norms = None if tol is None and mag is None else _row_norm(blk)
             stop = None
             if tol is not None:
-                now = np.array(sums[: blk.shape[1]])
-                part = (now.real if real else now) + np.cumsum(blk, axis=0)
-                size = _row_norm(part)
+                size = _running_norms(sums, blk, real)
                 # a partial sum past the double range is an overflow, not
                 # a scale that makes every term look small
                 if size.size and not np.isfinite(size[-1]):
@@ -577,12 +585,17 @@ def _block_partials(terms, first, n: int, limit: int, tol, run: int,
                 for col, p in zip(blk.T, parts):
                     p.append(complex(math.fsum(col.real.tolist()),
                                      math.fsum(col.imag.tolist())))
-        except OverflowError:
-            raise overflow(n + len(blk) - 1) from None
+            sums = tuple([_fsum(p, False, overflow, n + len(blk) - 1)
+                          for p in parts])
+        except (OverflowError, TermOverflowError):
+            # neither sum tells which partial sum left the range first;
+            # `sums` still holds the sums before this block
+            with np.errstate(over="ignore", invalid="ignore"):
+                past = np.flatnonzero(~np.isfinite(_running_norms(sums, blk, real)))
+            raise overflow(n + (int(past[0]) if past.size else len(blk) - 1)) from None
         n += len(blk)
         if mag is not None:
             mag += float(norms.sum())
-        sums = tuple([_fsum(p, False, overflow, n - 1) for p in parts])
         yield n, sums, mag, stop is not None
         if stop is not None:
             return
@@ -694,8 +707,7 @@ def _wynn_epsilon(seq: Sequence[complex]) -> complex:
     return best
 
 
-def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None,
-                 start=None):
+def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None):
     """The partial sums at the term counts 64*2^j within `cap`.
 
     Yields (S_n, False) at each checkpoint, S_n a plain number for a
@@ -703,44 +715,32 @@ def _checkpoints(spec: PFQSpec, z: complex, cap: int, tol=None, bound=None,
     decay algebraically, like n^(-sigma), and the geometric spacing
     turns them into linearly convergent sequences.  The sums come
     straight from _block_partials over one _Terms source, from the first
-    term on, with no per-term head; `start`, a pair from _levin_head,
-    hands over its source and its first 41 terms instead, so the sum
-    goes on from term 41 and no term is generated twice.  With `tol`
-    the plain sum may stop first, as _block_partials says with `tol`
-    and `bound`; it then yields (S_n, True) and ends.
+    term on, with no per-term head.  With `tol` the plain sum may stop
+    first, as _block_partials says with `tol` and `bound`; it then
+    yields (S_n, True) and ends.
     """
 
     def overflow(k: int) -> TermOverflowError:
         return _overflow(spec.describe(), z, k)
 
     scalar = spec.all_scalar
-    if start is None:
-        terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
-        # the first term, 1, and zeros for a jet's other coefficients
-        first = (1.0,) + (0.0,) * (0 if scalar else spec.order)
-        n, mag = 1, 1.0
-    else:
-        terms, head = start
-        real = head.dtype.kind == "f"
-        n = len(head)
-        first = [_fsum(col.tolist(), real, overflow, n - 1) for col in head.T]
-        mag = float(_row_norm(head).sum())
+    terms = _Terms(spec, z, 1.0, _is_real(spec, z), scalar)
+    # the first term, 1, and zeros for a jet's other coefficients
+    first = (1.0,) + (0.0,) * (0 if scalar else spec.order)
     # the last checkpoint within `cap` terms past the first: terms past
     # it could never reach another
     limit = _FIRST_CHECKPOINT
     while 2 * limit <= cap + 1:
         limit *= 2
     # sum|t_k| is read only by the floor of the stop with `bound`
-    if bound is None:
-        mag = None
-    for n, s, _, stopped in _block_partials(terms, first, n, limit, tol, 2, 0,
+    mag = None if bound is None else 1.0
+    for n, s, _, stopped in _block_partials(terms, first, 1, limit, tol, 2, 0,
                                             overflow, mag, bound):
         if stopped or not n & (n - 1):
             yield (s[0] if scalar else _jet(s)), stopped
 
 
-def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int,
-                     start=None) -> Jet:
+def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int) -> Jet:
     """The sum for |z| near or at 1, by the plain sum or by Wynn's epsilon.
 
     One pass over the checkpoints carries two stops and returns at
@@ -757,8 +757,6 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int,
     and stops when two consecutive estimates agree within
     tol * max(1, |.|).  The table amplifies the rounding of the
     checkpoints a hundredfold and more.
-
-    `start` is a _levin_head pair whose 41 terms the sum goes on from.
     """
 
     def estimate(snaps: list):
@@ -774,8 +772,7 @@ def _accelerated_sum(spec: PFQSpec, z: complex, tol: float, cap: int,
         bound = (az, max(0.0, excess - 1.0))
     snapshots: list = []
     prev_est = None
-    for snap, stopped in _checkpoints(spec, z, cap, tol if bound else None, bound,
-                                      start):
+    for snap, stopped in _checkpoints(spec, z, cap, tol if bound else None, bound):
         if stopped:
             return as_jet(snap, spec.order)
         snapshots.append(snap)
@@ -809,23 +806,9 @@ def _levin_weights() -> np.ndarray:
     return out
 
 
-def _levin_head(spec: PFQSpec, z: complex) -> tuple:
-    """(terms, t): the _Terms source of spec's series at z, now past
-    t_40, and the terms t_0 .. t_40 that Levin's transform reads, as the
-    rows of an array."""
-    terms = _Terms(spec, z, 1.0, _is_real(spec, z), spec.all_scalar)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        blk = terms.block(0, _LEVIN_LAST)
-    t = np.concatenate((np.eye(1, blk.shape[1], dtype=blk.dtype), blk))
-    finite = np.isfinite(t).all(axis=1)
-    if not finite.all():
-        raise _overflow(spec.describe(), z, int(np.argmin(finite)))
-    return terms, t
-
-
-def _levin_sum(spec: PFQSpec, z: complex, tol: float, t: np.ndarray) -> Jet:
+def _levin_sum(spec: PFQSpec, z: complex, tol: float) -> Jet:
     """The sum on or just inside |z| = 1, z != 1, by Levin's u-transform
-    of the 41 terms t_0 .. t_40 from _levin_head.
+    of the 41 terms t_0 .. t_40.
 
     Off z = 1 the term ratio tends to z and the tail after n terms is
     z^n n^(-sigma) times a series in 1/n, the remainder the u-transform
@@ -845,6 +828,13 @@ def _levin_sum(spec: PFQSpec, z: complex, tol: float, t: np.ndarray) -> Jet:
     weights amplify rounding by about (2/|1-z|)^k, so near z = 1 the
     caller sums by Wynn instead.
     """
+    terms = _Terms(spec, z, 1.0, _is_real(spec, z), spec.all_scalar)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        blk = terms.block(0, _LEVIN_LAST)
+    t = np.concatenate((np.eye(1, blk.shape[1], dtype=blk.dtype), blk))
+    finite = np.isfinite(t).all(axis=1)
+    if not finite.all():
+        raise _overflow(spec.describe(), z, int(np.argmin(finite)))
     # L_k moves with a constant added to every s_n, so the window holds
     # s_n - s_40 = -(t_(n+1) + ... + t_40): rounding then scales with
     # the tail, not with the sum
@@ -929,6 +919,104 @@ def _extrapolate_at_one(spec: PFQSpec, tol: float, cap: int) -> Jet:
 
 # ---------------------------------------------------------------------------
 # public evaluation
+
+
+@dataclass(frozen=True)
+class Moved:
+    """A series rewritten at a new argument: prefactor * F'(argument).
+
+    The classical statements return only the new parameter tuple, but
+    the prefactor is part of the value, so it rides along as a jet.
+    """
+
+    prefactor: Jet
+    spec: PFQSpec
+    argument: complex
+
+
+def pfaff(spec: PFQSpec, x: complex, keep: int = 1) -> Moved:
+    """2F1(a,b;c;x) = (1-x)^(-b) 2F1(c-a, b; c; x/(x-1)).
+
+    `keep` selects which upper parameter survives untouched (the b
+    above); the other is reflected through c.
+    """
+    if spec.p != 2 or spec.q != 1:
+        raise SeriesError("Pfaff transform needs a 2F1")
+    if keep not in (0, 1):
+        raise ValueError("keep must be 0 or 1")
+    x = complex(x)
+    if x == 1.0:
+        raise SeriesError("Pfaff transform undefined at x = 1")
+    survivor = spec.upper[keep]
+    other = spec.upper[1 - keep]
+    c = spec.lower[0]
+    new_upper = (c - other, survivor) if keep == 1 else (survivor, c - other)
+    moved_spec = PFQSpec(new_upper, (c,), order=spec.order)
+    prefactor = jet_pow(as_jet(1.0 - x, spec.order), -survivor)
+    return Moved(prefactor, moved_spec, x / (x - 1.0))
+
+
+def gauss_near_one(
+    spec: PFQSpec,
+    w: complex,
+    tol: float = DEFAULT_TOL,
+    complement: complex | None = None,
+) -> Jet:
+    """2F1 near argument 1 through the two-series connection at 1-w.
+
+    Needs c-a-b away from the integers; the logarithmic degenerate case
+    is out of scope and rejected.  Callers that know 1-w more precisely
+    than the subtraction gives (Pfaff reroutes from large negative z,
+    where w itself rounds to 1) pass it as ``complement``.
+    """
+    if spec.p != 2 or spec.q != 1:
+        raise SeriesError("near-one connection needs a 2F1")
+    a, b = spec.upper
+    c = spec.lower[0]
+    s = c - a - b
+    s0 = s.value
+    if abs(s0.imag) < 1e-8 and abs(s0.real - round(s0.real)) < 1e-8:
+        raise SeriesError(
+            "near-one connection needs non-integer c-a-b, got %r" % s0
+        )
+    w = complex(w)
+    u = 1.0 - w if complement is None else complex(complement)
+    first = PFQSpec((a, b), (a + b - c + 1,), order=spec.order)
+    second = PFQSpec((c - a, c - b), (s + 1,), order=spec.order)
+    # each lead is one exp of summed log-Gamma series, but without
+    # gamma_product's log-Gamma fallback: the two terms cancel, so that
+    # route's rounding would show in the sum
+    try:
+        leads = [
+            _gamma_jet_product(
+                ((c, 1), (s, 1), (c - a, -1), (c - b, -1)), spec.order
+            )
+        ]
+        if u != 0:
+            leads.append(
+                _gamma_jet_product(
+                    ((c, 1), (-s, 1), (a, -1), (b, -1)),
+                    spec.order,
+                    lead=jet_pow(as_jet(u, spec.order), s),
+                )
+            )
+        finite = all(cmath.isfinite(x) for lead in leads for x in lead.coeffs)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SeriesError(
+            "near-one connection coefficients of %s leave the double range"
+            % spec.describe()
+        )
+    t1 = leads[0] * eval_series(first, u, tol=tol)
+    if u == 0:
+        if s0.real > 0:
+            # u^s kills the second branch.
+            return t1
+        raise SeriesError(
+            "2F1 diverges at argument 1 for c-a-b = %r" % s0
+        )
+    return t1 + leads[1] * eval_series(second, u, tol=tol)
 
 
 def eval_series(spec: PFQSpec, x: complex, tol: float = DEFAULT_TOL) -> Jet:
@@ -1033,23 +1121,18 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         except OverflowError:
             pass
         raise TermOverflowError(0, "1F0 at %r leaves the double range" % z)
-    if name == "at_one":
-        return eval_at_one(spec, tol)
     if name == "wynn":
         return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
     if name == "levin":
-        head = _levin_head(spec, z)
         try:
-            return _levin_sum(spec, z, tol, head[1])
+            return _levin_sum(spec, z, tol)
         except ConvergenceError:
             if abs(abs(z) - 1.0) <= 1e-14:
                 raise
-            # on the ring the plain sum or Wynn goes on from Levin's terms
-            return _accelerated_sum(spec, z, tol, AT_ONE_CAP, head)
-    from .transforms import gauss_near_one, pfaff
-    plain = PFQSpec(spec.upper, spec.lower, order=spec.order)
+            # on the ring the plain sum or Wynn goes on
+            return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
     if name == "pfaff":
-        moved = pfaff(plain, z.real)
+        moved = pfaff(spec, z.real)
         w = moved.argument
         if w.real > 0.95:
             # 1 - w cancels catastrophically once |z| nears 1/eps (w rounds
@@ -1061,41 +1144,47 @@ def _eval_argument(spec: PFQSpec, z: complex, tol: float) -> Jet:
         else:
             inner = _eval_argument(moved.spec, w, tol)
         return moved.prefactor * inner
-    try:
-        return gauss_near_one(plain, z.real, tol)
-    except SeriesError:
-        # refused: integer c-a-b, or a lead past the double range
-        if abs(z - 1.0) <= 1e-14:
-            return eval_at_one(spec, tol)
-        return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
-
-
-def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
-    """Value at argument 1 for p = q+1 with positive parameter excess.
-
-    1F0 is 0 there with every a-derivative, 2F1 Gauss's closed form in
-    jets; wider series are summed directly and extrapolated by Richardson
-    on the known exponents sigma, sigma+1, ... (`_extrapolate_at_one`).
-    """
-    if spec.p != spec.q + 1:
-        raise SeriesError("argument 1 handling is for p = q+1 series")
-    sigma = spec.sigma
-    if sigma.value.real <= 0:
+    if name == "near_one":
+        try:
+            return gauss_near_one(spec, z.real, tol)
+        except SeriesError:
+            # refused: integer c-a-b, or a lead past the double range;
+            # within 1e-14 of 1 the value is F(1), as at_one takes it
+            if abs(z - 1.0) > 1e-14:
+                return _accelerated_sum(spec, z, tol, AT_ONE_CAP)
+    # at_one: F(1) of a p = q+1 series with positive parameter excess,
+    # for z within 1e-14 of 1 where |1-z|^min(Re sigma, 1), about
+    # |F(z) - F(1)|, is within tol.  1F0 is 0 there with every
+    # a-derivative, 2F1 Gauss's closed form in jets; wider series are
+    # summed directly and extrapolated by Richardson on the known
+    # exponents sigma, sigma+1, ... (`_extrapolate_at_one`).
+    sigma = spec.sigma.value
+    if sigma.real <= 0:
         raise DivergentError(
             "%s divergent at 1: Re(excess) = %g <= 0"
-            % (spec.describe(), sigma.value.real)
+            % (spec.describe(), sigma.real)
         )
-    if spec.terminating_degree() is not None:
-        return _sum_terminating(spec, 1.0 + 0j, tol)
+    gap = abs(1.0 - z) ** min(sigma.real, 1.0)
+    if gap > tol:
+        raise DivergentError(
+            "%s at %r: F(1) is off by about |1-z|^min(Re(excess), 1) = %.3g "
+            "> tol %.3g" % (spec.describe(), z, gap, tol)
+        )
     if spec.p == 1:
         return as_jet(0, spec.order)
     if spec.p == 2:
-        a, b = spec.upper
-        c = spec.lower[0]
+        (a, b), (c,) = spec.upper, spec.lower
         return gamma_product(
             ((c, 1), (c - a - b, 1), (c - a, -1), (c - b, -1)), spec.order
         )
     return _extrapolate_at_one(spec, tol, AT_ONE_CAP)
+
+
+def eval_at_one(spec: PFQSpec, tol: float = DEFAULT_TOL) -> Jet:
+    """Value at argument 1 of a p = q+1 series, by the runner `route` names."""
+    if spec.p != spec.q + 1:
+        raise SeriesError("argument 1 handling is for p = q+1 series")
+    return _eval_argument(spec, 1.0 + 0j, tol)
 
 
 def limit_at_minus_infinity(spec: PFQSpec) -> AsymptoticTerm:

@@ -1,16 +1,15 @@
 """Series rewrites: argument moves, summation formulas, representations.
 
-Everything here is either an argument transform (Pfaff, the near-one
-connection, Thomae's shift), a closed-form summation, or a catalog row
-expressing a concrete function through a jet-parameterized series.
-Summation formulas are registered as Identity rows and gated by a
-numeric cross-check the moment they are registered, so a transcription
-slip cannot survive import.
+Everything here is either an argument transform (Thomae's shift; Pfaff
+and the near-one connection are hypseries' own, re-exported), a
+closed-form summation, or a catalog row expressing a concrete function
+through a jet-parameterized series.  Summation formulas are registered
+as Identity rows and gated by a numeric cross-check the moment they are
+registered, so a transcription slip cannot survive import.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,11 +24,14 @@ from .numkernel import (
 )
 from .hypseries import (
     DEFAULT_TOL,
+    Moved,
     PFQSpec,
     SeriesError,
     cancel_parameters,
     eval_at_one,
     eval_series,
+    gauss_near_one,
+    pfaff,
 )
 
 __all__ = [
@@ -66,108 +68,6 @@ def _jets(*vals) -> tuple:
     if order is None:
         return tuple(as_jet(v) for v in vals)
     return tuple(as_jet(v, order) for v in vals)
-
-
-# ---------------------------------------------------------------------------
-# argument transforms
-
-
-@dataclass(frozen=True)
-class Moved:
-    """A series rewritten at a new argument: prefactor * F'(argument).
-
-    The classical statements return only the new parameter tuple, but
-    the prefactor is part of the value, so it rides along as a jet.
-    """
-
-    prefactor: Jet
-    spec: PFQSpec
-    argument: complex
-
-
-def pfaff(spec: PFQSpec, x: complex, keep: int = 1) -> Moved:
-    """2F1(a,b;c;x) = (1-x)^(-b) 2F1(c-a, b; c; x/(x-1)).
-
-    `keep` selects which upper parameter survives untouched (the b
-    above); the other is reflected through c.
-    """
-    if spec.p != 2 or spec.q != 1:
-        raise SeriesError("Pfaff transform needs a 2F1")
-    if keep not in (0, 1):
-        raise ValueError("keep must be 0 or 1")
-    x = complex(x)
-    if x == 1.0:
-        raise SeriesError("Pfaff transform undefined at x = 1")
-    survivor = spec.upper[keep]
-    other = spec.upper[1 - keep]
-    c = spec.lower[0]
-    new_upper = (c - other, survivor) if keep == 1 else (survivor, c - other)
-    moved_spec = PFQSpec(new_upper, (c,), order=spec.order)
-    prefactor = jet_pow(as_jet(1.0 - x, spec.order), -survivor)
-    return Moved(prefactor, moved_spec, x / (x - 1.0))
-
-
-def gauss_near_one(
-    spec: PFQSpec,
-    w: complex,
-    tol: float = DEFAULT_TOL,
-    complement: complex | None = None,
-) -> Jet:
-    """2F1 near argument 1 through the two-series connection at 1-w.
-
-    Needs c-a-b away from the integers; the logarithmic degenerate case
-    is out of scope and rejected.  Callers that know 1-w more precisely
-    than the subtraction gives (Pfaff reroutes from large negative z,
-    where w itself rounds to 1) pass it as ``complement``.
-    """
-    if spec.p != 2 or spec.q != 1:
-        raise SeriesError("near-one connection needs a 2F1")
-    a, b = spec.upper
-    c = spec.lower[0]
-    s = c - a - b
-    s0 = s.value
-    if abs(s0.imag) < 1e-8 and abs(s0.real - round(s0.real)) < 1e-8:
-        raise SeriesError(
-            "near-one connection needs non-integer c-a-b, got %r" % s0
-        )
-    w = complex(w)
-    u = 1.0 - w if complement is None else complex(complement)
-    first = PFQSpec((a, b), (a + b - c + 1,), order=spec.order)
-    second = PFQSpec((c - a, c - b), (s + 1,), order=spec.order)
-    # each lead is one exp of summed log-Gamma series, but without
-    # gamma_product's log-Gamma fallback: the two terms cancel, so that
-    # route's rounding would show in the sum
-    try:
-        leads = [
-            _gamma_jet_product(
-                ((c, 1), (s, 1), (c - a, -1), (c - b, -1)), spec.order
-            )
-        ]
-        if u != 0:
-            leads.append(
-                _gamma_jet_product(
-                    ((c, 1), (-s, 1), (a, -1), (b, -1)),
-                    spec.order,
-                    lead=jet_pow(as_jet(u, spec.order), s),
-                )
-            )
-        finite = all(cmath.isfinite(x) for lead in leads for x in lead.coeffs)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise SeriesError(
-            "near-one connection coefficients of %s leave the double range"
-            % spec.describe()
-        )
-    t1 = leads[0] * eval_series(first, u, tol=tol)
-    if u == 0:
-        if s0.real > 0:
-            # u^s kills the second branch.
-            return t1
-        raise SeriesError(
-            "2F1 diverges at argument 1 for c-a-b = %r" % s0
-        )
-    return t1 + leads[1] * eval_series(second, u, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ This test runs the same wrapping and audit over one seed's `series`
 set, without editing anything under bench/.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import hypint.cli  # noqa: F401  (loads every module the tracer wraps)
-from hypint import hypseries, jets
+from hypint import hypseries, jets, transforms
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -94,3 +95,19 @@ def test_every_series_tag_takes_its_named_route():
             if name not in TAG_ROUTES[op["tag"]]:
                 strays.append((op["id"], op["tag"], name))
     assert strays == []
+
+
+def test_transforms_reexports_the_engines_own_route_transforms():
+    # the tracer's transforms.* spans wrap these objects wherever they
+    # are bound, so they must be the very ones the runners call
+    for name in ("pfaff", "gauss_near_one", "Moved"):
+        assert getattr(transforms, name) is getattr(hypseries, name), name
+    # hypseries imports nothing from transforms, at import or call time
+    imported = []
+    for node in ast.walk(ast.parse(Path(hypseries.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.name for alias in node.names]
+    assert "jets" in imported
+    assert not [m for m in imported if m.split(".")[-1] == "transforms"]

@@ -643,6 +643,31 @@ def test_parse_error_caret_under_the_text_it_points_into(capsys):
     )
 
 
+@pytest.mark.parametrize("argv, column", [
+    # inf, nan - nani, 0 and a float-division error before the range check
+    (["eval", "1e400"], 1),
+    (["integrate", "1e400/(1+x^2)", "--to", "1"], 1),
+    (["eval", "1e-400"], 1),
+    (["eval", "1e400i"], 1),
+    (["integrate", "x^1e400", "--to", "1"], 3),
+    (["eval", "x", "--at", "2*1e400"], 3),
+])
+def test_exit_2_on_a_literal_outside_the_double_range(argv, column, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error at column %d: " % column)
+    assert "outside the double range" in err
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1e308", 1e308), ("1e-320", 1e-320), ("0.0", 0.0), ("0e-400", 0.0),
+])
+def test_literals_at_the_ends_of_the_double_range_parse(text, want, capsys):
+    code, out, _ = run_cli(["eval", text], capsys)
+    assert code == 0
+    assert complex(out.split("=")[1].strip().replace(" ", "")) == want
+
+
 def test_exit_2_on_missing_at(capsys):
     code, _, err = run_cli(["eval", "2F1(1,1/2;3/2;-x^2)"], capsys)
     assert code == 2

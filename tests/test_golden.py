@@ -124,16 +124,14 @@ def test_near_one_golden(row):
 def test_near_one_rows_take_the_connection(monkeypatch):
     # every near_one row, the Pfaff-moved ones included, is summed by
     # the near-one connection
-    from hypint import transforms
-
     seen = []
-    connect = transforms.gauss_near_one
+    connect = hypseries.gauss_near_one
 
     def recording(spec, *args, **kwargs):
         seen.append(spec)
         return connect(spec, *args, **kwargs)
 
-    monkeypatch.setattr(transforms, "gauss_near_one", recording)
+    monkeypatch.setattr(hypseries, "gauss_near_one", recording)
     for row in GOLDEN["near_one"]:
         del seen[:]
         eval_series(_jet_params(row), row["z"])
@@ -250,12 +248,13 @@ def test_off_axis_ring_settles_on_levins_terms(monkeypatch):
 )
 def test_off_axis_ring_goes_on_from_levins_terms(label, monkeypatch):
     # Levin's 41 terms do not settle; the plain sum or Wynn goes on from
-    # term 41 on the same source, its first block ending at 64, and
-    # every term is made once: the blocks tile 1 .. n
+    # a fresh source, its first block ending at 64, and its blocks tile
+    # the terms from 1 on
     asked = _recording_blocks(monkeypatch)
     _check_row(_ring_row(label))
-    assert asked[:2] == [(0, 40), (40, 23)]
-    assert all(k0 == a + m for (a, m), (k0, _) in zip(asked, asked[1:]))
+    assert asked[:2] == [(0, 40), (0, 63)]
+    rest = asked[1:]
+    assert all(k0 == a + m for (a, m), (k0, _) in zip(rest, rest[1:]))
 
 
 def test_cancelled_ring_sum_goes_on_by_wynn(monkeypatch):

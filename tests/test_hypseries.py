@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -154,14 +155,12 @@ def test_route_names_one_argument_per_region():
 
 
 def test_route_makes_no_terms_and_calls_no_transformation(monkeypatch):
-    from hypint import transforms
-
     def refuse(*args, **kwargs):
         raise AssertionError("route ran a summation step")
 
     monkeypatch.setattr(hypseries._Terms, "block", refuse)
     for name in ("pfaff", "gauss_near_one"):
-        monkeypatch.setattr(transforms, name, refuse)
+        monkeypatch.setattr(hypseries, name, refuse)
     _route_table()
 
 
@@ -329,6 +328,24 @@ def test_near_one_window_with_integer_excess_keeps_f_at_one():
         eval_series(PFQSpec((1.0, 1.0), (2.0,)), 1.0 - 1e-15)
 
 
+@pytest.mark.parametrize("spec, z", [
+    # F(1) is 50.698 where mpmath's F(z) is 15.295
+    (PFQSpec((1.0, 1.0, 0.5), (1.5, 1.01)), 1.0 - 1e-15),
+    # F(1) is 5.3e-7 off
+    (PFQSpec((0.3, 0.7), (1.4,)), 1.0 + 1e-15j),
+])
+def test_at_one_snap_raises_where_f_at_one_misses_tol(spec, z):
+    with pytest.raises(DivergentError, match=re.escape(repr(complex(z)))):
+        eval_series(spec, z)
+
+
+def test_at_one_snap_keeps_a_dilogarithm_within_tol():
+    # 3F2(1,1,1;2,2;z) = Li2(z)/z, and Li2(1-x) = spence(x)
+    z = 1.0 - 1e-15
+    got = eval_series(PFQSpec((1.0, 1.0, 1.0), (2.0, 2.0)), z).value
+    assert abs(got - special.spence(1e-15) / z) <= 1e-13
+
+
 # -- evaluation: argument one ----------------------------------------------
 
 
@@ -357,6 +374,17 @@ def test_at_one_requires_saturated_shape():
 def test_at_one_requires_positive_excess():
     with pytest.raises(DivergentError, match="1"):
         eval_at_one(PFQSpec((1.0, 1.0), (2.0,)))
+
+
+def test_at_one_sums_a_polynomial_whatever_its_excess():
+    # Chu-Vandermonde: 2F1(-2, 3; 1/2; 1) = (c-b)_2/(c)_2 = 5, with
+    # Re(excess) = -1/2
+    assert eval_at_one(PFQSpec((-2.0, 3.0), (0.5,))).value == pytest.approx(5.0)
+
+
+def test_at_one_of_1f0_with_nonnegative_a_names_the_pole():
+    with pytest.raises(DivergentError, match="pole or branch point"):
+        eval_at_one(PFQSpec((0.5,), ()))
 
 
 def test_at_one_terminating_shortcut():
@@ -573,6 +601,15 @@ def test_head_partial_sum_overflow_names_its_index(z):
     assert err.value.k == 2
 
 
+def test_block_sum_overflow_without_tol_names_the_first_partial_sum():
+    # the binomial sum of 1F0(-1026;;-1) = 2^1026 has its largest term at
+    # 1.8e307; in exact arithmetic S_501 is 0.945 and S_502 1.02 DBL_MAX,
+    # while the block of terms 256 .. 511 overflows as a whole
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((-1026.0,), (), order=0), -1.0)
+    assert err.value.k == 502
+
+
 def test_scalar_block_overflow_names_the_first_bad_term():
     # the terminating 2F1(-400, 1; 1; 1000) has no stop rule, and its
     # terms leave the range past the 64-term head, inside a block
@@ -675,24 +712,6 @@ def test_circle_terms_that_underflow_end_the_sum():
     got = eval_series(PFQSpec((0.1,) * 4, (1e5,) * 3, order=0), z).value
     assert got.real == 1.0
     assert got.imag == pytest.approx(1e-19 * z.imag, rel=1e-14)
-
-
-@pytest.mark.parametrize("order", [0, 2])
-def test_ring_sum_from_levins_terms_matches_the_sum_from_the_first(order):
-    # the checkpoints summed on from Levin's t_0 .. t_40 are those summed
-    # from t_0, up to the rounding of terms made in other blocks; a term
-    # lost or counted twice at the hand-off would move them by |t_41|,
-    # about 64 here
-    a = 1.31 if order == 0 else 1.31 + eps(order)
-    spec, z = PFQSpec((a, 1.41), (0.52,)), cmath.rect(0.974, -0.78)
-    whole = [s for s, _ in hypseries._checkpoints(spec, z, 4096)]
-    start = hypseries._levin_head(spec, z)
-    assert start[1].shape[0] == 41
-    handed = [s for s, _ in hypseries._checkpoints(spec, z, 4096, start=start)]
-    assert len(handed) == len(whole) == 7
-    for x, y in zip(whole, handed):
-        x, y = as_jet(x, order), as_jet(y, order)
-        assert max(map(abs, (x - y).coeffs)) <= 1e-12 * max(map(abs, x.coeffs))
 
 
 def test_exp_up_to_the_overflow_threshold():
