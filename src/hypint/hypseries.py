@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,7 +183,8 @@ class PFQSpec:
 
     @property
     def all_scalar(self) -> bool:
-        return all(p.is_scalar for p in (*self.upper, *self.lower))
+        # Jet.is_scalar, without a generator per parameter
+        return not any([any(p.coeffs[1:]) for p in (*self.upper, *self.lower)])
 
     def argument(self, x: complex) -> complex:
         """The series argument scale * x^power."""
@@ -280,6 +282,16 @@ def _nilpotent_exp(logs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _taken_whole(b) -> Optional[int]:
+    """The j at which a jet parameter's ratio factor b + j + delta is
+    taken whole, or None: the one j >= 0, if any, where b + j lies within
+    1/2 of zero.  There log(1 + delta/(b + j)) would cancel
+    catastrophically, and at a zero base, as in 2F1(eps, eps; 1; z), it
+    does not exist."""
+    near = round(-b.real)
+    return near if near >= 0 and abs(b + near) < 0.5 else None
+
+
 class _Terms:
     """The terms of one series in numpy blocks, from a running state.
 
@@ -287,25 +299,26 @@ class _Terms:
     the scalar term ratios.  L_k is the running sum of the jet logs
     log(1 + delta/(b + j)) of the ratio factors b + j + delta, upper
     ones added and lower ones subtracted.  M_k is the product of the
-    factors taken whole: each jet parameter's factor at the one j, if
-    any, where b + j lies within 1/2 of zero.  There the log would cancel
-    catastrophically, and at a zero base, as in 2F1(eps, eps; 1; z), it
-    does not exist.  With scalar parameters only, L and M stay trivial
-    and a block is t * cumprod(ratio); `scalar` says so up front.  Each
-    of T_n's n ratios adds a few roundings, so it drifts by about
-    sqrt(n) ulp: 2e-14 by term 65536.
+    factors taken whole (`_taken_whole`) and of `mult`, the jet
+    coefficients of a multiplier carried in: _partials' per-term head
+    hands over its last term as T = t and M = mult.  With scalar
+    parameters only, L and M stay trivial and a block is
+    t * cumprod(ratio); `scalar` says so up front.  Each of T_n's n
+    ratios adds a few roundings, so it drifts by about sqrt(n) ulp:
+    2e-14 by term 65536.
     """
 
     # each term is the one before times a finite ratio
     running = True
 
     def __init__(self, spec: PFQSpec, z: complex, t: complex, real: bool,
-                 scalar: bool):
+                 scalar: bool, mult: Optional[list] = None):
         dtype = float if real else complex
         cast = (lambda v: v.real) if real else complex
         width = spec.order + 1
         self.z, self.t = cast(z), cast(t)
-        self.log, self.mult, self.powers = 0.0, None, np.arange(1, width)
+        self.log, self.powers = 0.0, np.arange(1, width)
+        self.mult = None if mult is None else _mul_matrix(np.array(mult, dtype))
         # (base, +1 upper / -1 lower, log coefficients or None, j taken whole)
         self.factors = []
         whole: dict = {}
@@ -324,10 +337,9 @@ class _Terms:
                         power = power @ step
                         rows.append(sign * (-1) ** (m + 1) / m * power)
                     logs = np.array(rows)
-                    near = round(-b.real)
-                    if near >= 0 and abs(b + near) < 0.5:
-                        j0 = near
-                        jet[0] = b + near
+                    j0 = _taken_whole(b)
+                    if j0 is not None:
+                        jet[0] = b + j0
                         factor = _mul_matrix(jet)
                         if sign < 0:
                             factor = np.linalg.inv(factor)
@@ -400,8 +412,35 @@ def _fsum(parts: list, real: bool, overflow, k: int) -> complex:
 
 def _is_real(spec: PFQSpec, z: complex) -> bool:
     """True when z and every parameter coefficient are real."""
-    return z.imag == 0.0 and all(
-        x.imag == 0.0 for p in (*spec.upper, *spec.lower) for x in p.coeffs
+    if z.imag:
+        return False
+    for p in (*spec.upper, *spec.lower):
+        for x in p.coeffs:
+            if x.imag:
+                return False
+    return True
+
+
+def _times(e: list, f: list) -> list:
+    """The truncated product of the jet coefficient lists e and f."""
+    return [sum(e[i - m] * f[m] for m in range(i + 1)) for i in range(len(e))]
+
+
+def _over(e: list, f: list) -> list:
+    """The truncated quotient e / f of jet coefficient lists, f[0] != 0."""
+    out: list = []
+    for i in range(len(e)):
+        out.append((e[i] - sum(f[m] * out[i - m] for m in range(1, i + 1))) / f[0])
+    return out
+
+
+def _first_bad_sum(cols, isfinite) -> int:
+    """The index of the first non-finite plain running sum of any column
+    (the last index if none is)."""
+    return min(
+        next((k for k, s in enumerate(itertools.accumulate(col)) if not isfinite(s)),
+             len(col) - 1)
+        for col in cols
     )
 
 
@@ -411,45 +450,66 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
     Yields (n, S_n, mag, stopped), with n the number of terms summed,
     S_n the order+1 jet coefficients of the partial sum and mag the sum
     of |t_k| over those terms, |.| the largest coefficient modulus.
-    With scalar parameters the first _FIRST_CHECKPOINT terms run
-    through the per-term recurrence, so a short series never touches
-    numpy, and are summed once by math.fsum; a jet series starts from
-    its first term alone.
-    _block_partials sums the rest from _Terms blocks.  With `tol`, the
-    sum stops after two consecutive tiny terms past the first, tiny as
-    _block_partials says.  Sums at |z| near or at 1 have no per-term
-    head: they read _checkpoints.
+
+    The first _FIRST_CHECKPOINT terms run through one per-term
+    recurrence, so a short series never touches numpy, and each
+    coefficient is summed once by math.fsum.  A term is t_k = T_k E_k:
+    T_k is the running product of the scalar ratios over every base,
+    and E_k the running product, as order+1 jet coefficients, of the
+    factors 1 + delta/(b + j) of the jet parameters, upper ones
+    multiplied and lower ones divided.  A first-order delta, as in
+    a + eps, c - a or a + b - c + 1, costs O(order) per factor, any
+    other one O(order^2).  A factor taken whole (`_taken_whole`) leaves
+    T at its j and multiplies or divides E whole.  _block_partials sums
+    the rest from a _Terms source that goes on from T and E.
+
+    With `tol`, the sum stops after two consecutive tiny terms past the
+    first, tiny as _block_partials says; mag bounds the running sum's
+    norm, so a jet's is formed only where |t_k| <= tol * max(1, mag).
+    A non-finite term or partial sum raises TermOverflowError at its
+    index.  Sums at |z| near or at 1 have no per-term head: they read
+    _checkpoints.
     """
 
     def overflow(k: int) -> TermOverflowError:
         return _overflow(spec.describe(), z, k)
 
     small = stopped = False
-    n, mag = 1, 1.0
-    scalar = spec.all_scalar
+    mag, order = 1.0, spec.order
     # real inputs keep the terms in float, at a fraction of the cost of
     # complex: with zero imaginary parts complex * and / give the same
     # real parts, so the sums, the stop index and the overflow index agree
     real = _is_real(spec, z)
+    a = [p.value for p in spec.upper]
+    c = [p.value for p in spec.lower]
+    w, isfinite = z, cmath.isfinite
+    if real:
+        a = [v.real for v in a]
+        c = [v.real for v in c]
+        w, isfinite = z.real, math.isfinite
     t = 1.0 if real else 1.0 + 0j
-    # the stop test reads the plain running sum
-    head, total = [t], t
-    if scalar:
-        a = [p.value for p in spec.upper]
-        c = [p.value for p in spec.lower]
-        w, isfinite = z, cmath.isfinite
-        if real:
-            a = [v.real for v in a]
-            c = [v.real for v in c]
-            w, isfinite = z.real, math.isfinite
-        n = min(_FIRST_CHECKPOINT, limit)
-        for k in range(1, n):
+    jets = not spec.all_scalar
+    n = min(_FIRST_CHECKPOINT, limit)
+    if jets:
+        runs = _jet_runs(spec, real, a, c, n)
+        e = [t] + [0.0 * t] * order
+        # the head's rows; the stop test reads their plain running sum,
+        # brought up to date only where it is read
+        head, total, summed = [list(e)], list(e), 1
+        down, up = range(order, 0, -1), range(1, order + 1)
+    else:
+        runs = ((1, n, a, c, None),)
+        head, total = [t], t
+    for start, end, ups, lows, moves in runs:
+        if jets:
+            grow, shrink, slow = moves
+        for k in range(start, end):
             j = k - 1
             num = w
-            for ai in a:
+            for ai in ups:
                 num *= ai + j
             den = float(k)
-            for cj in c:
+            for cj in lows:
                 den *= cj + j
             prev, t = t, t * num / den
             if not isfinite(t):
@@ -457,13 +517,46 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                 t = prev * (num / den)
                 if not isfinite(t):
                     raise overflow(k)
-            at = abs(t)
+            if jets:
+                for b, d1 in grow:
+                    # e * (1 + x eps), from the top coefficient down
+                    x = d1 / (b + j)
+                    for i in down:
+                        e[i] += x * e[i - 1]
+                for b, d1 in shrink:
+                    # e / (1 + x eps), from the bottom up
+                    x = d1 / (b + j)
+                    for i in up:
+                        e[i] -= x * e[i - 1]
+                for sign, b, d, g in slow:
+                    if g is None:
+                        x = 1.0 / (b + j)
+                        g = [1.0] + [x * v for v in d]
+                    e = _times(e, g) if sign > 0 else _over(e, g)
+                row = [t * x for x in e]
+                # a NaN from an E past the double range leaves its
+                # column's fsum NaN, and _first_bad_sum names it
+                at = max(map(abs, row))
+                if not isfinite(at):
+                    raise overflow(k)
+                head.append(row)
+            else:
+                at = abs(t)
+                head.append(t)
+                total += t
             mag += at
-            head.append(t)
-            total += t
             if tol is not None:
-                if at <= tol * max(1.0, abs(total)):
-                    if not isfinite(total):
+                # a jet's mag bounds the norm of its running sum, which
+                # is formed only where the bound lets t be tiny
+                if at <= tol * max(1.0, mag if jets else abs(total)):
+                    if jets:
+                        for r in head[summed:]:
+                            total = [s + x for s, x in zip(total, r)]
+                        summed = len(head)
+                        if at > tol * max(1.0, max(map(abs, total))):
+                            small = False
+                            continue
+                    if not (all(map(isfinite, total)) if jets else isfinite(total)):
                         # an overflowed sum, not a scale that makes t tiny
                         raise overflow(k)
                     if small:
@@ -472,12 +565,69 @@ def _partials(spec: PFQSpec, z: complex, limit: int, tol=None):
                     small = True
                 else:
                     small = False
-    sums = (_fsum(head, real, overflow, n - 1),) + (0j,) * spec.order
+        if stopped:
+            break
+    try:
+        if jets:
+            sums = tuple([_fsum(col, real, overflow, n - 1) for col in zip(*head)])
+        else:
+            sums = (_fsum(head, real, overflow, n - 1),) + (0j,) * order
+    except TermOverflowError:
+        cols = list(zip(*head)) if jets else (head,)
+        raise overflow(_first_bad_sum(cols, isfinite)) from None
     yield n, sums, mag, stopped
     if not stopped and n < limit:
-        terms = _Terms(spec, z, t, real, scalar)
+        terms = _Terms(spec, z, t, real, not jets, e if jets else None)
         yield from _block_partials(terms, sums, n, limit, tol, 2, int(small),
                                    overflow, mag)
+
+
+def _jet_runs(spec: PFQSpec, real: bool, a: list, c: list, n: int) -> list:
+    """The terms 1 .. n-1 of _partials' head as runs of one rule each.
+
+    A run is (first k, end k, upper bases, lower bases, moves): the
+    bases that enter T and how E takes the jet factors, as (grow,
+    shrink, slow).  grow and shrink hold (base, eps coefficient) of the
+    upper and of the lower parameters with a first-order nilpotent part;
+    slow holds (+1 upper / -1 lower, base, nilpotent part, None) of the
+    others and (sign, base, nilpotent part, whole factor) of those taken
+    whole.  The term whose ratio index j takes factors whole is a run of
+    its own, with those bases out of T.
+    """
+    # per jet parameter: (sign, index, base, nilpotent part, j taken whole)
+    params = []
+    for sign, group in ((1, spec.upper), (-1, spec.lower)):
+        for i, p in enumerate(group):
+            co = p.coeffs
+            if any(co[1:]):
+                b, d = co[0], list(co[1:])
+                if real:
+                    b, d = b.real, [x.real for x in d]
+                params.append((sign, i, b, d, _taken_whole(b)))
+
+    def moves(j: int) -> tuple:
+        grow, shrink, slow = [], [], []
+        for sign, _, b, d, j0 in params:
+            if j0 == j:
+                slow.append((sign, b, d, [b + j] + d))
+            elif any(d[1:]):
+                slow.append((sign, b, d, None))
+            else:
+                (grow if sign > 0 else shrink).append((b, d[0]))
+        return grow, shrink, slow
+
+    plain = moves(-1)
+    runs, k = [], 1
+    for j in sorted({p[4] for p in params if p[4] is not None and p[4] + 1 < n}):
+        out = {(sign, i) for sign, i, _, _, j0 in params if j0 == j}
+        runs.append((k, j + 1, a, c, plain))
+        runs.append((j + 1, j + 2,
+                     [x for i, x in enumerate(a) if (1, i) not in out],
+                     [x for i, x in enumerate(c) if (-1, i) not in out],
+                     moves(j)))
+        k = j + 2
+    runs.append((k, n, a, c, plain))
+    return runs
 
 
 def _running_norms(sums: tuple, blk: np.ndarray, real: bool) -> np.ndarray:

@@ -31,6 +31,14 @@ Sections:
   Levin's transform, plainly or by Wynn's epsilon, as for circle.
   Where mpmath's Euler-Maclaurin tail does not converge, its series is
   summed directly.
+- disk: 2F1, 3F2, 1F1 and 0F1 jets at orders 1, 2, 4 and 8 at
+  |z| <= 0.9, real and complex, where the engine sums the series
+  directly: zero bases, a base of -3 + 1e-6 and a lower base of
+  0.2 + eps (ratio factors taken whole), two parameters taken whole at
+  one j, complex parameters, and parameters moved by eps + eps^2/2 in
+  place of eps (`nil` lists the coefficients of eps, eps^2, ...).  By
+  mp.taylor, as for near_one.  Every row's tol is the engine's default
+  1e-12.
 - appell: Appell's F1 and F2 by mpmath's appellf1 and appellf2, for
   multivar.eval_double.  F1 at moduli 1/3, 0.6 and 0.75 with arguments
   of one sign, of opposite signs (the diagonal sums cancel) and complex;
@@ -144,6 +152,65 @@ NEAR_ONE = [
     ("pfaff -30 jet 4", [0.7, 0.3], [1.6], -30.0, ("upper", 1, 4), 1e-12),
     ("pfaff -500 jet 1", [1.2, 0.8], [2.3], -500.0, ("lower", 0, 1), 1e-12),
 ]
+
+
+# (label, upper, lower, z, jet, nil or None); a jet's index may be a
+# list, as for CIRCLE.  nil [1, 0.5] moves each named parameter by
+# eps + eps^2/2; None is eps alone.
+DISK = [
+    ("2F1 0.5 jet 1", [0.3, 0.7], [1.4], 0.5, ("upper", 0, 1), None),
+    ("2F1 -0.6 jet 2", [0.3, 0.7], [1.4], -0.6, ("upper", 1, 2), None),
+    ("2F1 0.9 jet 4", [0.3, 0.7], [1.4], 0.9, ("lower", 0, 4), None),
+    ("2F1 0.03 jet 4", [1.25, 0.6], [2.1], 0.03, ("upper", 0, 4), None),
+    ("2F1 0.2+0.3i jet 2", [1.2, 0.45], [2.9], 0.2 + 0.3j, ("upper", 0, 2), None),
+    ("2F1 0.9 e^2i jet 1", [0.5, 0.8], [1.3], cmath.rect(0.9, 2.0), ("lower", 0, 1), None),
+    ("2F1 0.7 e^-i jet 8", [0.6, 0.7], [1.4], cmath.rect(0.7, -1.0), ("upper", 0, 8), None),
+    ("2F1 0.4 jet 8", [1.1, 0.6], [2.3], 0.4, ("lower", 0, 8), None),
+    ("3F2 0.5 jet 1", [0.4, 0.9, 1.3], [1.7, 2.2], 0.5, ("upper", 1, 1), None),
+    ("3F2 -0.8 jet 2", [0.4, 0.9, 1.3], [1.7, 2.2], -0.8, ("lower", 1, 2), None),
+    ("3F2 0.85 e^1.2i jet 4", [0.6, 1.3, 1.0], [2.7, 2.0], cmath.rect(0.85, 1.2),
+     ("upper", 0, 4), None),
+    ("3F2 0.05 jet 4", [1.5, 2.5, 0.5], [3.5, 1.5], 0.05, ("lower", 0, 4), None),
+    ("1F1 0.9 jet 1", [0.7], [1.9], 0.9, ("upper", 0, 1), None),
+    ("1F1 0.5i jet 2", [1.3], [0.6], 0.5j, ("lower", 0, 2), None),
+    ("1F1 0.3 jet 4", [2.5], [3.5], 0.3, ("upper", 0, 4), None),
+    ("1F1 0.6 e^1.4i jet 8", [0.9], [1.6], cmath.rect(0.6, 1.4), ("upper", 0, 8), None),
+    ("0F1 0.9 jet 1", [], [1.5], 0.9, ("lower", 0, 1), None),
+    ("0F1 -0.9 jet 2", [], [0.75], -0.9, ("lower", 0, 2), None),
+    ("0F1 0.8i jet 4", [], [2.5], 0.8j, ("lower", 0, 4), None),
+    ("0F1 0.1 jet 8", [], [1.2], 0.1, ("lower", 0, 8), None),
+    # zero bases: the first ratio factor of each is eps alone
+    ("2F1 zero bases 0.5 jet 2", [0.0, 0.0], [1.0], 0.5, ("upper", [0, 1], 2), None),
+    ("2F1 zero base 0.8 e^0.5i jet 4", [0.0, 0.7], [1.4], cmath.rect(0.8, 0.5),
+     ("upper", 0, 4), None),
+    ("1F1 zero base 0.9 jet 2", [0.0], [1.3], 0.9, ("upper", 0, 2), None),
+    ("3F2 zero base -0.5 jet 1", [0.0, 0.5, 1.5], [2.0, 1.2], -0.5, ("upper", 0, 1), None),
+    # a ratio factor 1e-6 + eps at j = 3
+    ("2F1 base -3+1e-6 0.6 jet 2", [-3.0 + 1e-6, 0.7], [1.4], 0.6, ("upper", 0, 2), None),
+    ("2F1 base -3+1e-6 0.5i jet 1", [-3.0 + 1e-6, 0.7], [1.4], 0.5j, ("upper", 0, 1), None),
+    ("1F1 base -3+1e-6 0.9 jet 4", [-3.0 + 1e-6], [1.5], 0.9, ("upper", 0, 4), None),
+    # a lower factor 0.2 + eps at j = 0, divided whole
+    ("2F1 lower 0.2 0.5 jet 1", [0.3, 0.7], [0.2], 0.5, ("lower", 0, 1), None),
+    ("2F1 lower 0.2 0.3 e^2i jet 4", [1.3, 0.4], [0.2], cmath.rect(0.3, 2.0),
+     ("lower", 0, 4), None),
+    ("0F1 lower 0.2 0.9 jet 2", [], [0.2], 0.9, ("lower", 0, 2), None),
+    # two upper factors taken whole at one j: 2F1(a+eps, b+eps; a+b; z)
+    # at j = 0, as verify's log multiplier draws it, and two at j = 2
+    ("2F1 two whole 0.5 jet 1", [0.3, 0.15], [0.45], 0.5, ("upper", [0, 1], 1), None),
+    ("2F1 two whole 0.9 jet 2", [0.3, 0.15], [0.45], 0.9, ("upper", [0, 1], 2), None),
+    ("2F1 two whole -0.7 jet 4", [0.2, 0.4], [0.6], -0.7, ("upper", [0, 1], 4), None),
+    ("2F1 two whole at 2 0.4 jet 2", [-2.2, -1.9], [1.5], 0.4, ("upper", [0, 1], 2), None),
+    # complex parameters
+    ("2F1 complex 0.6 jet 2", [0.5 + 0.5j, 0.7], [1.4], 0.6, ("upper", 0, 2), None),
+    ("3F2 complex 0.8 e^-2i jet 1", [0.4 + 0.3j, 0.6, 0.7 - 0.3j], [1.2, 1.1],
+     cmath.rect(0.8, -2.0), ("upper", 0, 1), None),
+    ("1F1 complex 0.9i jet 4", [1.1], [1.5 - 0.7j], 0.9j, ("lower", 0, 4), None),
+    ("2F1 complex whole 0.7 jet 2", [0.1 + 0.2j, 0.8], [1.3], 0.7, ("upper", 0, 2), None),
+    # a nilpotent part with an eps^2 coefficient
+    ("2F1 eps + eps^2/2 0.6 jet 4", [0.3, 0.7], [1.4], 0.6, ("upper", 0, 4), [1.0, 0.5]),
+    ("1F1 eps + eps^2/2 0.8i jet 4", [0.7], [1.9], 0.8j, ("lower", 0, 4), [1.0, 0.5]),
+]
+DISK_TOL = 1e-12
 
 
 # pFq on |z| = 1 off z = 1, at z = e^(i theta) rounded to doubles; theta
@@ -400,6 +467,44 @@ def near_one_ref(upper, lower, z, jet):
     return at_two_precisions(lambda: mp.taylor(f, x0, order))
 
 
+def disk_ref(upper, lower, z, jet, nil):
+    side, idx, order = jet
+    idx = idx if isinstance(idx, list) else [idx]
+    nil = nil or [1.0]
+
+    def f(x):
+        # x is the base of the first named parameter plus eps
+        ups = [mp.mpmathify(u) for u in upper]
+        lows = [mp.mpmathify(c) for c in lower]
+        params = ups if side == "upper" else lows
+        e = x - params[idx[0]]
+        move = sum(c * e ** (m + 1) for m, c in enumerate(nil))
+        for i in idx:
+            params[i] = params[i] + move
+        return mp.hyper(ups, lows, mp.mpmathify(z))
+
+    x0 = mp.mpmathify((upper if side == "upper" else lower)[idx[0]])
+    return at_two_precisions(lambda: mp.taylor(f, x0, order))
+
+
+def build_disk():
+    rows = []
+    for label, upper, lower, z, jet, nil in DISK:
+        start = time.time()
+        rows.append({
+            "label": label,
+            "upper": [pair(u) for u in upper],
+            "lower": [pair(c) for c in lower],
+            "z": pair(z),
+            "jet": list(jet),
+            "nil": nil,
+            "value": disk_ref(upper, lower, z, jet, nil),
+            "tol": DISK_TOL,
+        })
+        print("%-30s %6.1f s" % (label, time.time() - start), flush=True)
+    return rows
+
+
 def build_at_one():
     rows = []
     for label, upper, lower, jet, tol in AT_ONE:
@@ -538,6 +643,7 @@ SECTIONS = {
     "at_one": build_at_one,
     "reciprocal_gamma": build_reciprocal_gamma,
     "near_one": build_near_one,
+    "disk": build_disk,
     "circle": build_circle,
     "ring": build_ring,
     "appell": build_appell,

@@ -7,7 +7,8 @@ fails, and so does a typed SeriesError.  The circle and ring rows
 marked `raises` are beyond the engine's reach; they pass only with a
 typed SeriesError.  The appell rows, single values of Appell's F1 and
 F2, and the limits rows, leading coefficients at -oo, are checked
-relative to the reference.
+relative to the reference.  The disk rows, jets summed directly at
+|z| <= 0.9, pass within 10 tol.
 """
 
 import json
@@ -39,8 +40,14 @@ def _jet_params(row):
     if row["jet"]:
         side, idx, order = row["jet"]
         params = ups if side == "upper" else lows
+        # a row's `nil` moves the parameters by nil[0] eps + nil[1] eps^2 ...
+        e = eps(order)
+        move, power = 0, 1
+        for c in row.get("nil") or [1.0]:
+            power = power * e
+            move = move + c * power
         for i in idx if isinstance(idx, list) else [idx]:
-            params[i] = params[i] + eps(order)
+            params[i] = params[i] + move
     return PFQSpec(tuple(ups), tuple(lows), order=order)
 
 
@@ -119,6 +126,17 @@ def test_gamma_jet_product_near_poles(row):
 def test_near_one_golden(row):
     got = eval_series(_jet_params(row), row["z"])
     assert _error(got, row["value"]) <= row["tol"]
+
+
+@pytest.mark.parametrize(
+    "row", GOLDEN["disk"], ids=[r["label"] for r in GOLDEN["disk"]]
+)
+def test_disk_golden(row):
+    # the direct sum's contract: each coefficient within 10 tol of its
+    # reference, relative to the reference's largest coefficient
+    spec, z = _jet_params(row), complex(*row["z"])
+    assert hypseries.route(spec, z) == "direct"
+    assert _error(eval_series(spec, z, tol=row["tol"]), row["value"]) <= 10 * row["tol"]
 
 
 def test_near_one_rows_take_the_connection(monkeypatch):

@@ -601,6 +601,17 @@ def test_head_partial_sum_overflow_names_its_index(z):
     assert err.value.k == 2
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_head_partial_sum_overflow_without_tol_names_its_index(order):
+    # the terminating 2F1(-10, 2; 2e-308; -0.08) has t_1 = 8e307,
+    # t_2 = 8.64e307 and t_3 = 3.69e307, each a double, and terms that
+    # fall from there; S_2 = 1.66e308 is a double and S_3 = 2.03e308 is not
+    b = 2.0 + eps(order) if order else 2.0
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((-10.0, b), (2e-308,), order=order), -0.08)
+    assert err.value.k == 3
+
+
 def test_block_sum_overflow_without_tol_names_the_first_partial_sum():
     # the binomial sum of 1F0(-1026;;-1) = 2^1026 has its largest term at
     # 1.8e307; in exact arithmetic S_501 is 0.945 and S_502 1.02 DBL_MAX,
@@ -860,15 +871,15 @@ def test_jet_terms_near_the_top_of_the_range():
 
 @pytest.mark.parametrize("order", [1, 2, 4])
 @pytest.mark.parametrize("w", [0.5, 0.9, 0.97 * cmath.exp(0.7j)])
-@pytest.mark.parametrize("a0", [0.0, -3.0 + 1e-6, 0.5])
+@pytest.mark.parametrize("a0", [0.0, -3.0 + 1e-6, 0.5, 0.5 + 0.5j])
 def test_binomial_jet_matches_logarithm_powers(a0, w, order):
     # 1F0(a0+eps;;w) = (1-w)^(-a0) (1-w)^(-eps), so coefficient m is
     # (1-w)^(-a0) (-log(1-w))^m / m!.  Base 0 makes the first ratio
     # factor purely nilpotent, base -3 + 1e-6 puts a factor 1e-6 from
-    # zero at j = 3; w = 0.9 runs a few hundred terms over several
-    # blocks, and 0.97e^{0.7i} goes through Wynn.  eval_series takes
-    # 1F0 in closed form, so the series goes to the kernels it would
-    # reach by |w|.
+    # zero at j = 3, and 0.5 + 0.5i is complex; w = 0.9 runs a few
+    # hundred terms over several blocks, and 0.97e^{0.7i} goes through
+    # Wynn.  eval_series takes 1F0 in closed form, so the series goes to
+    # the kernels it would reach by |w|.
     spec = PFQSpec((a0 + eps(order),), ())
     tol = hypseries.DEFAULT_TOL
     if abs(w) < 0.95:
@@ -927,6 +938,60 @@ def test_jet_overflow_names_the_first_bad_term_or_sum():
     assert abs(err.value.k - k) <= 1
 
 
+def test_jet_term_overflow_in_the_head_names_its_index():
+    # 1F1(1+eps;1;x) has terms (1 + eps H_k) x^k / k!; at x = 1e7 they
+    # grow by x/k, so the first coefficient past log(DBL_MAX), in log
+    # space, is the first bad term, and the sum leaves with it
+    top = math.log(sys.float_info.max)
+    x = 1e7
+    lt = harm = 0.0
+    k = 0
+    while lt + max(0.0, math.log(harm or 1.0)) <= top:
+        k += 1
+        lt += math.log(x / k)
+        harm += 1.0 / k
+    assert k < 64  # inside the per-term head
+    with pytest.raises(TermOverflowError) as err:
+        eval_series(PFQSpec((1.0 + eps(1),), (1.0,)), x)
+    assert abs(err.value.k - k) <= 1
+
+
+@pytest.mark.parametrize("x", [0.5, 0.9, -0.7, 0.3 + 0.4j])
+@pytest.mark.parametrize("a, b", [(0.3, 0.15), (0.2, 0.45)])
+def test_two_factors_taken_whole_at_one_j(a, b, x):
+    # 2F1(a+eps, b+eps; a+b; x) with a, b < 1/2 takes both upper factors
+    # whole at j = 0; its eps coefficient is ln(1/(1-x)) 2F1(a, b; a+b; x)
+    e = eps(1)
+    got = extract(1, eval_series(PFQSpec((a + e, b + e), (a + b,)), x))
+    want = -cmath.log(1.0 - x) * special.hyp2f1(a, b, a + b, x)
+    assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def test_short_jet_sums_build_no_term_blocks(monkeypatch):
+    # a jet direct sum that stops within the first 64 terms is summed by
+    # the per-term head alone: no _Terms source, no numpy block
+    def refuse(*args, **kwargs):
+        raise AssertionError("a short jet sum reached the term blocks")
+
+    monkeypatch.setattr(hypseries._Terms, "block", refuse)
+    monkeypatch.setattr(hypseries, "_Terms", refuse)
+    e = eps(4)
+    cases = [
+        (PFQSpec((0.3 + e, 0.7), (1.4,)), 0.3),
+        (PFQSpec((0.3, 0.7), (1.4 - e,)), 0.2 + 0.3j),
+        (PFQSpec((e, e), (1.0,)), 0.1),
+        (PFQSpec((0.3 + e, 0.15 + e), (0.45,)), 0.05),
+        (PFQSpec((1.2,), (0.2 + e,)), 2.0),
+        (PFQSpec((-3.0 + 1e-6 + e,), (1.5,)), 0.9),
+        (PFQSpec((0.3 + e + e * e / 2,), (1.5,)), -0.8j),
+        (PFQSpec((), (1.5 + e,)), 30.0),
+    ]
+    for spec, z in cases:
+        *_, (n, _, _, stopped) = _partials(spec, complex(z), TERM_CAP + 1, 1e-12)
+        assert stopped and n <= 64, (spec.describe(), z, n)
+        eval_series(spec, z)
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_dilogarithm_from_two_zero_bases(order):
     # 2F1(eps,eps;1;z) = 1 + eps^2 Li2(z) + O(eps^3): z = i runs Wynn,
@@ -963,13 +1028,50 @@ def test_long_terminating_jet_sum_is_exact(n):
         assert extract(m, got).real == pytest.approx(float(total[m]), rel=1e-13)
 
 
+def _reciprocal_exact(x, width):
+    """1/(x + eps) to `width` coefficients, exactly."""
+    return [(-1) ** m / x ** (m + 1) for m in range(width)]
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 300])
+@pytest.mark.parametrize("kind", ["lower quarter", "eps + eps^2/2"])
+def test_terminating_jet_head_is_exact(kind, n):
+    # 2F1(-n, b; 1/4+eps; z), whose lower factor at j = 0 is divided
+    # whole, and 2F1(-n, b+eps+eps^2/2; c; z), whose nilpotent part is
+    # not first order, against exact polynomials in eps; each
+    # coefficient keeps one sign over every term at z < 0
+    b, c, z = Fraction(3, 4), Fraction(5, 2), Fraction(-1, 4)
+    width = 4
+    if kind == "lower quarter":
+        c = Fraction(1, 4)
+    term = [Fraction(1)] + [Fraction(0)] * (width - 1)
+    total = list(term)
+    for k in range(n):
+        r = (-n + k) * z / (k + 1)
+        if kind == "lower quarter":
+            step = [r * (b + k) * x for x in _reciprocal_exact(c + k, width)]
+        else:
+            step = [r * (b + k) / (c + k), r / (c + k), r / (2 * (c + k)), Fraction(0)]
+        term = _jet_mul_exact(term, step)
+        total = [s + t for s, t in zip(total, term)]
+    e = eps(width - 1)
+    if kind == "lower quarter":
+        spec = PFQSpec((-float(n), float(b)), (float(c) + e,))
+    else:
+        spec = PFQSpec((-float(n), float(b) + e + e * e / 2), (float(c),))
+    got = eval_series(spec, float(z))
+    for m in range(width):
+        assert extract(m, got).real == pytest.approx(float(total[m]), rel=1e-13)
+
+
 @pytest.mark.parametrize("x, last", [(31.75, 63), (32.5, 64), (33.0, 65)])
 def test_jet_direct_stop_at_a_block_seam(x, last):
     # 1F1(1+eps;1;x) = sum (1 + eps H_k) x^k / k!, which tends to
     # e^x (1 + eps (ln x + gamma + E1(x))).  The exact partial sum where
     # the direct rule stops (two consecutive terms whose largest
     # coefficient is at most tol * max(1, largest coefficient of the
-    # sum)) is the reference; the first jet block ends at term 63.
+    # sum)) is the reference; the per-term head ends at term 63 and the
+    # first block starts at term 64.
     tol, xf = 1e-6, Fraction(x)
     term = [Fraction(1), Fraction(0)]
     total = list(term)

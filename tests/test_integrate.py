@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypint import integrate
 from hypint.hyperize import CoeffStream
 from hypint.hypseries import DivergentError, LimitConditionError, PFQSpec
 from hypint.integrate import (
@@ -209,6 +210,71 @@ def test_elliptic_jet_row():
     slot = extract(1, res.value).real
     assert slot == pytest.approx(1.5627885764982277, rel=1e-12)
     assert slot * math.pi / 4 == pytest.approx(4 * (1 - math.log(2)), rel=1e-12)
+
+
+_ENGINE_STEP = "oracle integrand: hypint's own series"
+
+
+def _counting_engine(monkeypatch):
+    calls = []
+    engine = integrate.eval_series
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "eval_series", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha, body", [
+    (Fraction(0), PFQSpec((0.3, 0.7), (1.4,), scale=-0.5, power=1, order=0)),
+    (Fraction(1, 2), PFQSpec((0.7,), (1.9,), scale=2, power=1, order=0)),
+    (Fraction(0), PFQSpec((), (1.5,), scale=-3, power=2, order=0)),
+    (Fraction(-1, 2),
+     PFQSpec((1.25, 0.4), (2.1,), scale=-0.9, power=Fraction(3, 2), order=0)),
+])
+def test_library_oracle_checks_against_scipy(alpha, body, monkeypatch):
+    # a 2F1, 1F1 or 0F1 body with real parameters is checked against
+    # scipy.special at the quadrature nodes: the engine runs once, for
+    # the boundary value F(1)
+    calls = _counting_engine(monkeypatch)
+    res = definite_0_to_1(IntegrandSpec(alpha, body))
+    assert len(calls) <= 1
+    assert res.discrepancy < 1e-9
+    assert not any(s.startswith(_ENGINE_STEP) for s in res.steps)
+
+
+@pytest.mark.parametrize("body", [
+    arctan_over_x_body(),  # c - a - b = 0
+    PFQSpec((0.16, 1.1600219), (2.9,), scale=-0.9, power=1, order=0),  # b - a ~ 1
+    PFQSpec((0.3, 0.7, 1.2), (1.4, 2.5), scale=-0.5, power=1, order=0),
+])
+def test_library_oracle_names_the_engine_where_it_runs_it(body, monkeypatch):
+    # next to scipy's degenerate 2F1 cases, and for wider bodies, the
+    # check runs the engine at each node and its steps say so
+    calls = _counting_engine(monkeypatch)
+    res = definite_0_to_1(IntegrandSpec(Fraction(0), body))
+    assert len(calls) > 1
+    assert res.discrepancy < 1e-8
+    assert res.steps[-1].startswith(_ENGINE_STEP)
+
+
+@pytest.mark.parametrize(
+    "power", [Fraction(1), Fraction(3), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]
+)
+def test_real_argument_is_the_specs_own(power):
+    base = PFQSpec((0.5,), (), scale=-1.7, power=power, order=0)
+    argument = integrate._real_argument(base)
+    for x in (0.0, 1e-300, 0.013, 0.5, 0.999, 1.0, 3.7, 1e10):
+        try:
+            want = base.argument(x)
+        except ZeroDivisionError:
+            # x = 0, or x^power past the double range, at a negative power
+            with pytest.raises(ZeroDivisionError):
+                argument(x)
+            continue
+        assert repr(argument(x)) == repr(want)
 
 
 def test_unit_interval_needs_integrable_weight():
